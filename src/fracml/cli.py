@@ -61,14 +61,17 @@ def write_vertices_csv(fh, quad: stability.Quadrilateral) -> None:
         fh.write(f"{label},{_fmt(a2)},{_fmt(a1)}\n")
 
 
-def write_asymmetric_region_csv(fh, region: stability.AsymmetricRegion) -> None:
+def write_asymmetric_region_csv(
+    fh, region: stability.AsymmetricRegion, curve: stability.BoundaryCurve | None
+) -> None:
+    """Region CSV; ``curve`` is the sampled boundary, None when n <= 2."""
     fh.write("part,t,x,y\n")
-    if region.curve is not None:
-        ys = region.curve.xy[:, 1]
+    if curve is not None:
+        ys = curve.xy[:, 1]
         lo, hi = float(np.min(ys)), float(np.max(ys))
         fh.write(f"line,0,{_fmt(1.0)},{_fmt(lo)}\n")
         fh.write(f"line,1,{_fmt(1.0)},{_fmt(hi)}\n")
-        for t, (x, y) in zip(region.curve.t, region.curve.xy):
+        for t, (x, y) in zip(curve.t, curve.xy):
             fh.write(f"cardioid,{_fmt(t)},{_fmt(x)},{_fmt(y)}\n")
     else:
         # n <= 2: the region is the strip between two vertical lines
@@ -181,11 +184,10 @@ def cmd_classify(args) -> int:
         spec = spectra.circulant_eigenvalues(
             spectra.CirculantSpec(args.a0, args.a1, args.a2, args.n)
         )
-    curve = stability.boundary_beta(args.alpha, args.samples)
-    for lam in spec.canonical():
-        v = stability.eigenvalue_in_region(lam, args.alpha, band=band, curve=curve)
-        print(f"{_fmt_complex(lam)}  {v.status}  margin={v.margin:.6g}")
-    overall = stability.classify_spectrum(spec, args.alpha, args.samples, band)
+    values = spec.canonical()
+    for lam, margin in zip(values, stability.curve_margin(values, args.alpha).tolist()):
+        print(f"{_fmt_complex(lam)}  {stability.margin_status(margin, band)}  margin={margin:.6g}")
+    overall = stability.classify_spectrum(spec, args.alpha, band)
     line = f"overall: {overall.status}  margin={overall.margin:.6g}"
     if overall.witness is not None:
         line += f"  witness={_fmt_complex(overall.witness)}"
@@ -215,19 +217,23 @@ def cmd_boundary(args) -> int:
 def cmd_region(args) -> int:
     if args.mode in ("symmetric", "asymmetric"):
         _require_args(args, "n")
+    curve = None
     if args.mode == "symmetric":
         region = stability.symmetric_region(args.alpha, args.n)
     elif args.mode == "thermo-symmetric":
         region = stability.thermodynamic_region(args.alpha, "symmetric")
     elif args.mode == "asymmetric":
-        region = stability.asymmetric_region(args.alpha, args.n, args.samples)
+        region = stability.asymmetric_region(args.alpha, args.n)
+        if region.j is not None:
+            curve = stability.boundary_gamma(args.alpha, args.n, region.j, args.samples)
     else:
-        region = stability.thermodynamic_region(args.alpha, "asymmetric", args.samples)
+        region = stability.thermodynamic_region(args.alpha, "asymmetric")
+        curve = stability.boundary_gamma_infinity(args.alpha, args.samples)
     with _open_out(args.out) as fh:
         if isinstance(region, stability.Quadrilateral):
             write_vertices_csv(fh, region)
         else:
-            write_asymmetric_region_csv(fh, region)
+            write_asymmetric_region_csv(fh, region, curve)
     return 0
 
 
@@ -305,7 +311,6 @@ def cmd_sweep(args) -> int:
         window=int(_cfg_num(cfg, "window", where, default=100)),
         seed=int(_cfg_num(cfg, "seed", where, default=dynamics.DEFAULT_SEED)),
         amplitude=_cfg_num(cfg, "amplitude", where, default=dynamics.DEFAULT_AMPLITUDE),
-        threads=int(cfg["threads"]) if "threads" in cfg else None,
     )
     with _open_out(args.out) as fh:
         write_sweep_csv(fh, cells)
@@ -324,7 +329,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a1", type=float, help="self weight")
     p.add_argument("--a2", type=float, help="right-neighbor weight")
     p.add_argument("--matrix", help="CSV file with an explicit square matrix")
-    p.add_argument("--samples", type=int, default=stability.DEFAULT_SAMPLES)
     p.add_argument("--band", type=float, default=stability.BOUNDARY_BAND)
     p.set_defaults(func=cmd_classify)
 

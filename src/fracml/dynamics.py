@@ -12,9 +12,8 @@ O(T^2 * N) time.  That is inherent, not an implementation shortcut.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,6 +364,7 @@ class SweepCell:
 _SWEEP_MODES = ("symmetric", "asymmetric", "logistic-cubic", "logistic-circle")
 ANALYTIC_CELL_CAP = 1_000_000
 SIMULATED_CELL_CAP = 10_000
+_SPECTRUM_BLOCK = 1 << 16  # eigenvalues per boundary call in a logistic-mode sweep
 
 
 def _sweep_maps(mode: str, p1: float, p2: float):
@@ -375,16 +375,20 @@ def _sweep_maps(mode: str, p1: float, p2: float):
     return negated_map(f2), logistic_map(p1), f2
 
 
-def _thread_count(threads: int | None) -> int:
-    count = threads if threads is not None else (os.cpu_count() or 1)
-    env = os.environ.get("FRACML_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValueError(f"FRACML_THREADS must be an integer, got {env!r}") from exc
-        count = min(count, max(cap, 1))
-    return max(int(count), 1)
+def _spectral_margins(mode: str, alpha: float, n: int, p1s, p2s) -> np.ndarray:
+    """Worst eigenvalue margin of each logistic-mode cell, in row-major order.
+
+    Spectra go to the boundary in blocks of about ``_SPECTRUM_BLOCK``
+    eigenvalues, which bounds the memory of large grids.
+    """
+    specs = [CirculantSpec(*linearize_at(*_sweep_maps(mode, p1, p2), 0.0), n) for p1 in p1s for p2 in p2s]
+    n = specs[0].n
+    rows = max(1, _SPECTRUM_BLOCK // n)
+    blocks = (
+        np.concatenate([circulant_eigenvalues(spec).eigenvalues for spec in specs[i:i + rows]])
+        for i in range(0, len(specs), rows)
+    )
+    return np.concatenate([stability.curve_margin(lam, alpha).reshape(-1, n).max(axis=1) for lam in blocks])
 
 
 def sweep(
@@ -398,7 +402,6 @@ def sweep(
     window: int = 100,
     seed: int = DEFAULT_SEED,
     amplitude: float = DEFAULT_AMPLITUDE,
-    samples: int = stability.DEFAULT_SAMPLES,
     band: float = stability.BOUNDARY_BAND,
     cutoff: float = DIVERGENCE_CUTOFF,
     threads: int | None = None,
@@ -408,10 +411,11 @@ def sweep(
     Parameter meaning per mode: symmetric (p1 = a2, p2 = a1, with
     a0 = a2), asymmetric (p1 = a1, p2 = a2, with a0 = -a2),
     logistic-cubic and logistic-circle (p1 = mu, p2 = delta, classified
-    at the origin equilibrium).  ``simulate=True`` adds the empirical
-    verdict of a seeded run per cell; cell seeds derive from the base
-    seed and the cell index, so results do not depend on scheduling.
-    The FRACML_THREADS environment variable caps worker threads.
+    at the origin equilibrium).  Analytic margins are computed for all
+    cells at once, not cell by cell.  ``simulate=True`` adds the
+    empirical verdict of a seeded run per cell, run one after another;
+    cell (i, k) draws its initial state from default_rng((seed, i, k)).
+    ``threads`` is accepted for compatibility and ignored.
     """
     if mode not in _SWEEP_MODES:
         raise ValueError(f"mode must be one of {_SWEEP_MODES}, got {mode!r}")
@@ -422,22 +426,18 @@ def sweep(
     cap = SIMULATED_CELL_CAP if simulate else ANALYTIC_CELL_CAP
     if cells > cap:
         raise ValueError(f"grid of {cells} cells exceeds the cap of {cap}")
+    if cells == 0:
+        return []
 
-    region = None
     if mode == "symmetric":
         region = stability.symmetric_region(a, n)
     elif mode == "asymmetric":
-        region = stability.asymmetric_region(a, n, samples)
-
-    def analytic_cell(p1: float, p2: float) -> stability.Verdict:
-        if mode == "symmetric":
-            return region.classify(p1, p2, band)
-        if mode == "asymmetric":
-            return region.classify(p1, p2, band)
-        f0, f1, f2 = _sweep_maps(mode, p1, p2)
-        a0, a1, a2 = linearize_at(f0, f1, f2, 0.0)
-        spec = circulant_eigenvalues(CirculantSpec(a0, a1, a2, n))
-        return stability.classify_spectrum(spec, a, samples, band)
+        region = stability.asymmetric_region(a, n)
+    if mode in ("symmetric", "asymmetric"):
+        g1, g2 = np.meshgrid(p1s, p2s, indexing="ij")
+        margins = region.signed_margin(g1.ravel(), g2.ravel())
+    else:
+        margins = _spectral_margins(mode, a, n, p1s, p2s)
 
     def empirical_cell(i: int, k: int, p1: float, p2: float) -> str:
         rng = np.random.default_rng((seed, i, k))
@@ -451,23 +451,11 @@ def sweep(
             traj = simulate_nonlinear(a, f0, f1, f2, x0, horizon, cutoff)
         return classify_trajectory(traj, window)
 
-    verdicts = [analytic_cell(p1, p2) for p1 in p1s for p2 in p2s]
-    empirical: list[str | None] = [None] * cells
-    if simulate:
-        jobs = [(i, k) for i in range(len(p1s)) for k in range(len(p2s))]
-        workers = _thread_count(threads)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                empirical = list(
-                    pool.map(lambda ik: empirical_cell(ik[0], ik[1], p1s[ik[0]], p2s[ik[1]]), jobs)
-                )
-        else:
-            empirical = [empirical_cell(i, k, p1s[i], p2s[k]) for i, k in jobs]
-    out = []
-    idx = 0
-    for i, p1 in enumerate(p1s):
-        for k, p2 in enumerate(p2s):
-            v = verdicts[idx]
-            out.append(SweepCell(p1, p2, v.status, empirical[idx], v.margin))
-            idx += 1
-    return out
+    grid = itertools.product(enumerate(p1s), enumerate(p2s))
+    return [
+        SweepCell(
+            p1, p2, stability.margin_status(m, band),
+            empirical_cell(i, k, p1, p2) if simulate else None, m,
+        )
+        for ((i, p1), (k, p2)), m in zip(grid, margins.tolist())
+    ]

@@ -4,16 +4,21 @@ The closed boundary curve traced by z -> z (1 - 1/z)^alpha + 1 over the
 unit circle, per-eigenvalue membership verdicts, coupling-plane regions
 for symmetric and antisymmetric rings, and their large-lattice limits.
 
-Membership in the curve-bounded region uses an even-odd winding test on
-the sampled boundary polygon.  Real eigenvalues short-circuit through
-the exact interval (1 - 2^alpha, 1); the symmetric coupling region is
-decided by exact half-plane inequalities, no sampling at all.  Theorems
-behind these regions use strict inequalities, so points within a small
-band of the boundary report ``marginal``, never ``stable``.
+The curve is star-shaped about its cusp (1, 0): on it, lambda - 1 has
+modulus (2 sin(t/2))^alpha and argument alpha pi/2 + t (1 - alpha/2),
+which increases strictly with t, so every ray from the cusp meets it
+once.  Membership is therefore decided exactly, ray by ray, and the
+margin is the exact Euclidean distance to the curve.  Coupling-plane
+curves are y-scaled copies of the same curve; the symmetric coupling
+region is decided by exact half-plane inequalities.  Sampled curves
+exist only for export.  Theorems behind these regions use strict
+inequalities, so points within a small band of the boundary report
+``marginal``, never ``stable``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +39,8 @@ __all__ = [
     "boundary_gamma",
     "boundary_gamma_infinity",
     "real_interval",
+    "curve_margin",
+    "margin_status",
     "eigenvalue_in_region",
     "classify_spectrum",
     "symmetric_region",
@@ -42,6 +49,7 @@ __all__ = [
     "thermodynamic_region",
 ]
 
+# resolution of exported boundary curves; no verdict samples the curve
 DEFAULT_SAMPLES = 8192
 # absolute half-width of the "too close to call" band around any boundary
 BOUNDARY_BAND = 1e-7
@@ -55,10 +63,11 @@ MARGINAL = "marginal"
 class Verdict:
     """Outcome of a membership test.
 
-    ``margin`` is a signed distance estimate to the nearest boundary,
-    negative inside the stable set and positive outside.  It is
-    informational; classification never feeds back through it.
-    ``witness`` carries the offending eigenvalue when one exists.
+    ``margin`` is the signed Euclidean distance to the nearest boundary,
+    negative inside the stable set and positive outside.  The status is
+    read from it (see :func:`margin_status`): within the band of zero it
+    is marginal, otherwise its sign decides.  ``witness`` carries the
+    offending eigenvalue when one exists.
     """
 
     status: str
@@ -79,9 +88,9 @@ class RealInterval:
     def __contains__(self, x: float) -> bool:
         return self.lo < x < self.hi
 
-    def signed_margin(self, x: float) -> float:
-        # negative inside, positive outside
-        return max(x - self.hi, self.lo - x)
+    def signed_margin(self, x):
+        """Distance outside the interval (negative inside); scalars or arrays."""
+        return np.maximum(x - self.hi, self.lo - x)
 
 
 @dataclass(frozen=True)
@@ -177,108 +186,173 @@ def boundary_gamma_infinity(
     return BoundaryCurve(a, "gamma-infinity", t, xy)
 
 
-def _winding_number(x: float, y: float, xy: np.ndarray) -> int:
-    x0 = xy[:-1, 0]
-    y0 = xy[:-1, 1]
-    x1 = xy[1:, 0]
-    y1 = xy[1:, 1]
-    cross = (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)
-    up = (y0 <= y) & (y1 > y) & (cross > 0.0)
-    down = (y0 > y) & (y1 <= y) & (cross < 0.0)
-    return int(np.count_nonzero(up)) - int(np.count_nonzero(down))
+# The upper half of the curve (t in [0, pi]) is parametrised by
+# v = (t / pi)^alpha in [0, 1].  In t the curve has unbounded derivatives
+# at the cusp, where |lambda - 1| ~ t^alpha; in v it is smooth there,
+# with |lambda - 1| ~ pi^alpha v.  Newton's method needs that smoothness.
+#
+# Seeds are uniform in v and in t, about _SEED_STEPS of each.  Eight steps
+# already found the nearest point of 12,000 random points to 1e-15 for
+# alpha in [0.02, 1]; 32 leave a margin.
+_SEED_STEPS = 32
+_CHUNK = 4096  # points per block: bounds the (points x seeds) distance table
+# Newton stops once no step in v exceeds this; the error of its quadratic
+# model is then of order step^3
+_NEWTON_TOL = 1e-8
 
 
-def _polygon_distance(x: float, y: float, xy: np.ndarray) -> float:
-    ax = xy[:-1, 0]
-    ay = xy[:-1, 1]
-    ux = xy[1:, 0] - ax
-    uy = xy[1:, 1] - ay
-    dx = x - ax
-    dy = y - ay
-    L2 = ux * ux + uy * uy
-    t = np.clip((dx * ux + dy * uy) / np.where(L2 > 0.0, L2, 1.0), 0.0, 1.0)
-    qx = dx - t * ux
-    qy = dy - t * uy
-    return float(math.sqrt(np.min(qx * qx + qy * qy)))
+def _locus(v: np.ndarray, a: float):
+    """lambda - 1 on the curve at ``v``, with its first two v-derivatives.
+
+    With x = t/2 and q = sin(x)/x: lambda - 1 = v u, u = (pi q)^a e^{i phi},
+    phi = a pi/2 + (2 - a) x, and d/dv lambda = u m with
+    m = x cot x + i (2 - a) x / a.
+    """
+    x = (0.5 * math.pi) * v ** (1.0 / a)
+    q = np.divide(np.sin(x), x, out=np.ones(x.shape), where=x > 0.0)
+    u = (math.pi * q) ** a * np.exp(1j * (0.5 * a * math.pi + (2.0 - a) * x))
+    xcot = np.cos(x) / q
+    k = (1j * (2.0 - a) / a) * x
+    m = xcot + k
+    # the second derivative tends to 0 at the cusp for a < 1
+    z2 = np.divide(
+        u * ((m - 1.0) * m + (xcot - q**-2 + k) / a), v,
+        out=np.zeros(u.shape, dtype=complex), where=v > 0.0,
+    )
+    return v * u, u * m, z2
 
 
-def eigenvalue_in_region(
-    lam: complex,
-    alpha: float,
-    samples: int = DEFAULT_SAMPLES,
-    band: float = BOUNDARY_BAND,
-    curve: BoundaryCurve | None = None,
-) -> Verdict:
-    """Verdict for one eigenvalue against the fractional stability region.
+@functools.lru_cache(maxsize=64)
+def _seeds(a: float):
+    """Seed parameters, uniform in v and in t, and lambda - 1 at each.
 
-    Complex eigenvalues are tested by winding number against the sampled
-    boundary polygon; exactly real eigenvalues use the open interval
-    (1 - 2^alpha, 1) instead, which is exact.  Anything within ``band``
-    of the polygon reports marginal.  Pass a precomputed ``curve`` to
-    amortize sampling over many eigenvalues.
+    The t seeds sit at half steps, so they never repeat a v seed at
+    alpha = 1, where v and t / pi coincide.  Cached per order (a region
+    classifies one point per call); the arrays are read-only.
+    """
+    steps = np.arange(_SEED_STEPS + 1.0)
+    v = np.sort(np.concatenate((steps / _SEED_STEPS, ((steps[:-1] + 0.5) / _SEED_STEPS) ** a)))
+    z = _locus(v, a)[0]
+    v.flags.writeable = z.flags.writeable = False
+    return v, z
+
+
+def _nearest(p: np.ndarray, a: float, w: float) -> np.ndarray:
+    """Squared distance from folded points to the curve, in the y-weighted metric.
+
+    ``p`` holds lambda - 1 with Im >= 0, and the metric weighs Im by
+    ``w``.  The two best local minima over the seeds are refined by
+    bracketed Newton steps in v, so a point about equally far from two
+    arcs still finds the nearer one.
+    """
+    seeds, seed_z = _seeds(a)
+    last = len(seeds) - 1
+    pc = p[:, None]
+    rows = np.arange(len(p))[:, None]
+    d = (seed_z.real - pc.real) ** 2 + w * (seed_z.imag - pc.imag) ** 2
+    k = np.empty((len(p), 2), dtype=np.intp)
+    k[:, 0] = d.argmin(axis=1)
+    local = np.ones(d.shape, dtype=bool)
+    local[:, 1:] = d[:, 1:] <= d[:, :-1]
+    local[:, :-1] &= d[:, :-1] <= d[:, 1:]
+    d_local = np.where(local, d, np.inf)
+    d_local[rows[:, 0], k[:, 0]] = np.inf
+    k[:, 1] = d_local.argmin(axis=1)
+    # with a single local minimum both slots refine it
+    k[:, 1] = np.where(np.isinf(d_local[rows[:, 0], k[:, 1]]), k[:, 0], k[:, 1])
+    below, above = np.maximum(k - 1, 0), np.minimum(k + 1, last)
+    lo, v, hi = seeds[below], seeds[k], seeds[above]
+    # start from the vertex of the parabola through the three seeds
+    d0, d1, d2 = d[rows, below], d[rows, k], d[rows, above]
+    num = (v - lo) ** 2 * (d1 - d2) - (hi - v) ** 2 * (d1 - d0)
+    den = (v - lo) * (d1 - d2) + (hi - v) * (d1 - d0)
+    v = np.clip(v - 0.5 * np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0), lo, hi)
+    for _ in range(60):
+        z, z1, z2 = _locus(v, a)
+        e = z - pc
+        dist = e.real**2 + w * e.imag**2
+        g = e.real * z1.real + w * e.imag * z1.imag  # half the derivative in v
+        gauss = z1.real**2 + w * z1.imag**2
+        h = gauss + e.real * z2.real + w * e.imag * z2.imag  # half the second
+        np.copyto(lo, v, where=g < 0.0)
+        np.copyto(hi, v, where=g > 0.0)
+        newton = h > 0.0
+        step = g / np.where(newton, h, gauss)
+        nxt = v - step
+        newton &= (nxt >= lo) & (nxt <= hi)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        if (np.abs(nxt - v) <= _NEWTON_TOL).all():
+            break
+        v = nxt
+    # the minimum of the local quadratic model, exact to O(step^3)
+    dist = np.where(newton & (np.abs(step) <= _NEWTON_TOL), np.maximum(dist - g * step, 0.0), dist)
+    return np.minimum(d1[:, 0], dist.min(axis=1))
+
+
+def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
+    """Signed Euclidean distance from each point to the stability curve.
+
+    Negative inside, positive outside; takes a scalar or an array and
+    returns an array of the same shape.  ``yscale`` = 1 is the
+    eigenvalue-plane curve (beta).  Otherwise the curve is the copy
+    with its y axis divided by ``yscale`` (the coupling-plane gamma
+    curves): (x, y) is inside it exactly when x + i yscale y is inside
+    beta, and its distance is measured to that copy.
+
+    Membership is exact: with Im folded to >= 0 and theta the argument
+    about the cusp, a point is inside iff theta > alpha pi/2 and its
+    distance from the cusp is below (2 sin(t/2))^alpha, where
+    t = (theta - alpha pi/2) / (1 - alpha/2).  On the real axis this is
+    the open interval (1 - 2^alpha, 1).
     """
     a = validate_order(alpha)
-    lam = complex(lam)
-    if curve is None:
-        curve = boundary_beta(a, samples)
-    elif curve.kind != "beta" or curve.alpha != a:
-        raise ValueError("curve does not match this order or is not an eigenvalue-plane boundary")
-    dist = _polygon_distance(lam.real, lam.imag, curve.xy)
-    if lam.imag == 0.0:
-        inside = lam.real in real_interval(a)
-    else:
-        inside = _winding_number(lam.real, lam.imag, curve.xy) != 0
-    margin = -dist if inside else dist
-    if dist < band:
-        return Verdict(MARGINAL, witness=lam, margin=margin)
-    if inside:
-        return Verdict(STABLE, witness=None, margin=margin)
-    return Verdict(UNSTABLE, witness=lam, margin=margin)
+    s = float(yscale)
+    if not s > 0.0:
+        raise ValueError(f"yscale must be positive, got {yscale!r}")
+    p = np.asarray(points, dtype=complex)
+    # folding makes the margins of conjugate points bit-identical
+    z = (p.real - 1.0) + 1j * (s * np.abs(p.imag))
+    t = (np.angle(z) - 0.5 * a * math.pi) / (1.0 - 0.5 * a)
+    inside = np.abs(z) < (2.0 * np.sin(0.5 * np.maximum(t, 0.0))) ** a
+    flat = z.ravel()
+    best = np.empty(flat.shape)
+    for start in range(0, len(flat), _CHUNK):
+        best[start:start + _CHUNK] = _nearest(flat[start:start + _CHUNK], a, s**-2)
+    d = np.sqrt(best).reshape(z.shape)
+    return np.where(inside, -d, d)
 
 
-def _witness_imag(v: Verdict) -> float:
-    return v.witness.imag if v.witness is not None else -math.inf
+def margin_status(margin: float, band: float = BOUNDARY_BAND) -> str:
+    """Status of a signed margin: marginal within ``band`` of zero."""
+    if abs(margin) < band:
+        return MARGINAL
+    return STABLE if margin < 0.0 else UNSTABLE
 
 
-def classify_spectrum(
-    spectrum,
-    alpha: float,
-    samples: int = DEFAULT_SAMPLES,
-    band: float = BOUNDARY_BAND,
-) -> Verdict:
+def eigenvalue_in_region(lam: complex, alpha: float, band: float = BOUNDARY_BAND) -> Verdict:
+    """Verdict for one eigenvalue: marginal within ``band`` of the curve."""
+    return classify_spectrum([complex(lam)], alpha, band)
+
+
+def classify_spectrum(spectrum, alpha: float, band: float = BOUNDARY_BAND) -> Verdict:
     """Aggregate verdict over a whole spectrum.
 
     Stable only if every eigenvalue is stable; a single unstable
-    eigenvalue wins over marginal ones.  The witness is the eigenvalue
-    with the worst (largest) margin.
+    eigenvalue wins over marginal ones.  Both follow from the worst
+    (largest) margin, and its eigenvalue is the witness.
     """
     values = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=complex)
     if len(values) == 0:
         raise ValueError("cannot classify an empty spectrum")
-    curve = boundary_beta(validate_order(alpha), samples)
-    worst: Verdict | None = None
-    saw_unstable = False
-    saw_marginal = False
-    for lam in values:
-        v = eigenvalue_in_region(complex(lam), alpha, band=band, curve=curve)
-        saw_unstable |= v.status == UNSTABLE
-        saw_marginal |= v.status == MARGINAL
-        # conjugate pairs tie on margin; report the upper half-plane one
-        if (
-            worst is None
-            or v.margin > worst.margin
-            or (v.margin == worst.margin and complex(lam).imag > _witness_imag(worst))
-        ):
-            worst = v
-    assert worst is not None
-    if saw_unstable:
-        status = UNSTABLE
-    elif saw_marginal:
-        status = MARGINAL
-    else:
-        status = STABLE
-    witness = None if status == STABLE else worst.witness
-    return Verdict(status, witness=witness, margin=worst.margin)
+    if np.isnan(values).any():
+        raise ValueError("cannot classify a spectrum with NaN eigenvalues")
+    margins = curve_margin(values, alpha)
+    worst = np.flatnonzero(margins == margins.max())
+    # conjugate pairs tie on margin; report the upper half-plane one
+    k = worst[np.argmax(values.imag[worst])]
+    margin = float(margins[k])
+    status = margin_status(margin, band)
+    return Verdict(status, witness=None if status == STABLE else complex(values[k]), margin=margin)
 
 
 @dataclass(frozen=True)
@@ -302,14 +376,14 @@ class Quadrilateral:
             return (1.0, -1.0)
         return tuple(mode_cosine(j, self.n) for j in distinct_mode_indices(self.n))
 
-    def signed_margin(self, a2: float, a1: float) -> float:
-        """Largest violation distance over all half-planes; negative inside."""
+    def signed_margin(self, a2, a1):
+        """Largest violation distance over all half-planes (negative inside); scalars or arrays."""
         lo = 1.0 - 2.0**self.alpha
         worst = -math.inf
         for c in self._cosines():
             m = a1 + 2.0 * a2 * c
             scale = math.sqrt(1.0 + 4.0 * c * c)
-            worst = max(worst, (m - 1.0) / scale, (lo - m) / scale)
+            worst = np.maximum(worst, np.maximum((m - 1.0) / scale, (lo - m) / scale))
         return worst
 
     def contains(self, a2: float, a1: float) -> bool:
@@ -318,10 +392,8 @@ class Quadrilateral:
         return all(lo < a1 + 2.0 * a2 * c < 1.0 for c in self._cosines())
 
     def classify(self, a2: float, a1: float, band: float = BOUNDARY_BAND) -> Verdict:
-        margin = self.signed_margin(a2, a1)
-        if abs(margin) < band:
-            return Verdict(MARGINAL, margin=margin)
-        return Verdict(STABLE if margin < 0.0 else UNSTABLE, margin=margin)
+        margin = float(self.signed_margin(a2, a1))
+        return Verdict(margin_status(margin, band), margin=margin)
 
 
 def symmetric_region(alpha: float, n: int) -> Quadrilateral:
@@ -361,17 +433,14 @@ def symmetric_region(alpha: float, n: int) -> Quadrilateral:
 def innermost_cardioid_index(n: int) -> int:
     """Mode index whose coupling-plane boundary is innermost.
 
-    Closed form: n//4 for even n, ceil((n-1)/4) for odd n.  Cross-checked
-    on every call against the direct argmin of |4 j - n| over
-     1 <= j <= n//2 (ties go to the smaller j).
+    The j in 1 <= j <= n//2 with the largest sin(2 pi j / n), that is the
+    least |4 j - n| (ties go to the smaller j).  Closed form: n//4 for
+    even n, ceil((n-1)/4) for odd n.
     """
     n = int(n)
     if n < 3:
         raise ValueError(f"no cardioid applies for n = {n}; need n >= 3")
-    closed = n // 4 if n % 2 == 0 else (n + 2) // 4
-    brute = min(range(1, n // 2 + 1), key=lambda j: abs(4 * j - n))
-    assert closed == brute, (n, closed, brute)
-    return closed
+    return n // 4 if n % 2 == 0 else (n + 2) // 4
 
 
 @dataclass(frozen=True)
@@ -379,38 +448,36 @@ class AsymmetricRegion:
     """Stable coupling region of an antisymmetric ring in the (a1, a2) plane.
 
     For n <= 2 every eigenvalue is a1 itself, so only the real interval
-    matters and ``curve`` is None.  Otherwise the region is the interior
-    of the innermost mode's coupling-plane boundary cut by the strip
-    1 - 2^alpha < a1 < 1.  ``n`` is None for the large-lattice limit.
+    matters and ``yscale`` is None.  Otherwise the region is the interior
+    of the innermost mode's coupling-plane boundary, the eigenvalue-plane
+    curve with its y axis divided by ``yscale`` = 2 sin(2 pi j / n), cut
+    by the strip 1 - 2^alpha < a1 < 1.  ``n`` is None for the
+    large-lattice limit, where ``yscale`` is 2.
     """
 
     alpha: float
     interval: RealInterval
     n: int | None = None
     j: int | None = None
-    curve: BoundaryCurve | None = None
+    yscale: float | None = None
 
-    def signed_margin(self, a1: float, a2: float) -> float:
+    def signed_margin(self, a1, a2):
+        """The larger of the strip and curve margins (negative inside); scalars or arrays."""
         margin = self.interval.signed_margin(a1)
-        if self.curve is not None:
-            dist = _polygon_distance(a1, a2, self.curve.xy)
-            inside = _winding_number(a1, a2, self.curve.xy) != 0
-            margin = max(margin, -dist if inside else dist)
+        if self.yscale is not None:
+            point = np.asarray(a1) + 1j * np.asarray(a2)
+            margin = np.maximum(margin, curve_margin(point, self.alpha, self.yscale))
         return margin
 
     def classify(self, a1: float, a2: float, band: float = BOUNDARY_BAND) -> Verdict:
-        margin = self.signed_margin(a1, a2)
-        if abs(margin) < band:
-            return Verdict(MARGINAL, margin=margin)
-        return Verdict(STABLE if margin < 0.0 else UNSTABLE, margin=margin)
+        margin = float(self.signed_margin(a1, a2))
+        return Verdict(margin_status(margin, band), margin=margin)
 
     def contains(self, a1: float, a2: float) -> bool:
-        return self.signed_margin(a1, a2) < 0.0
+        return bool(self.signed_margin(a1, a2) < 0.0)
 
 
-def asymmetric_region(
-    alpha: float, n: int, samples: int = DEFAULT_SAMPLES
-) -> AsymmetricRegion:
+def asymmetric_region(alpha: float, n: int) -> AsymmetricRegion:
     """Stable (a1, a2) region of the antisymmetric ring (a0 = -a2)."""
     a = validate_order(alpha)
     n = int(n)
@@ -420,12 +487,10 @@ def asymmetric_region(
     if n <= 2:
         return AsymmetricRegion(a, iv, n=n)
     j = innermost_cardioid_index(n)
-    return AsymmetricRegion(a, iv, n=n, j=j, curve=boundary_gamma(a, n, j, samples))
+    return AsymmetricRegion(a, iv, n=n, j=j, yscale=2.0 * mode_sine(j, n))
 
 
-def thermodynamic_region(
-    alpha: float, mode: str, samples: int = DEFAULT_SAMPLES
-) -> Quadrilateral | AsymmetricRegion:
+def thermodynamic_region(alpha: float, mode: str) -> Quadrilateral | AsymmetricRegion:
     """Large-lattice limit of the coupling region.
 
     ``symmetric`` returns the even-parity quadrilateral (the limit
@@ -439,7 +504,5 @@ def thermodynamic_region(
         ymid = 1.0 - 2.0 ** (a - 1.0)
         return Quadrilateral(a, "even", ((0.0, 1.0), (-w, ymid), (0.0, lo), (w, ymid)))
     if mode == "asymmetric":
-        return AsymmetricRegion(
-            a, real_interval(a), curve=boundary_gamma_infinity(a, samples)
-        )
+        return AsymmetricRegion(a, real_interval(a), yscale=2.0)
     raise ValueError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")

@@ -336,6 +336,22 @@ def test_sweep_simulate_flag_and_determinism(capsys, tmp_path):
     assert row[2] == "stable" and row[3] == "decaying"
 
 
+def test_sweep_ignores_the_threads_key(capsys, tmp_path):
+    # cells run one after another; a "threads" key, even null, changes nothing
+    base = {
+        "mode": "asymmetric", "alpha": 0.5, "n": 6,
+        "p1": {"values": [0.1, 0.3]}, "p2": {"values": [-0.2, 0.4]},
+    }
+    cfg = tmp_path / "sweep.json"
+    outputs = []
+    for extra in ({}, {"threads": None}, {"threads": 4}):
+        cfg.write_text(json.dumps({**base, **extra}))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_sweep_config_validation(capsys, tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({

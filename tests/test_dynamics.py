@@ -1,12 +1,11 @@
 """Tests for maps, equilibria, lattice simulators, and sweeps."""
 
-import os
-
 import numpy as np
 import pytest
 
 from fracml.dynamics import (
     DECAYING,
+    DEFAULT_AMPLITUDE,
     DIVERGED,
     GROWING,
     HORIZON_CAP,
@@ -241,6 +240,8 @@ def test_sweep_analytic_only():
     assert inside[0].analytic == "stable" and inside[0].margin < 0.0
     outside = [c for c in cells if c.p2 == 1.5]
     assert all(c.analytic == "unstable" for c in outside)
+    for mode in ("symmetric", "asymmetric", "logistic-cubic", "logistic-circle"):
+        assert sweep(mode, 0.4, 6, [], [0.1]) == []
 
 
 def test_sweep_modes_match_direct_classification():
@@ -254,16 +255,17 @@ def test_sweep_modes_match_direct_classification():
 
 def test_sweep_simulated_is_deterministic_and_scheduling_free():
     kwargs = dict(simulate=True, horizon=600, window=100, seed=3)
-    a = sweep("logistic-cubic", 0.6, 4, [0.05], [-0.1, 0.4], **kwargs)
-    b = sweep("logistic-cubic", 0.6, 4, [0.05], [-0.1, 0.4], **kwargs)
-    assert a == b
-    os.environ["FRACML_THREADS"] = "1"
-    try:
-        serial = sweep("logistic-cubic", 0.6, 4, [0.05], [-0.1, 0.4], **kwargs)
-    finally:
-        del os.environ["FRACML_THREADS"]
-    assert serial == a
-    assert all(c.empirical is not None for c in a)
+    p1s, p2s = [0.05, 0.3], [-0.1, 0.4]
+    a = sweep("logistic-cubic", 0.6, 4, p1s, p2s, **kwargs)
+    assert a == sweep("logistic-cubic", 0.6, 4, p1s, p2s, **kwargs)
+    # each cell is the run a caller gets on its own from the cell's seed
+    for idx, cell in enumerate(a):
+        i, k = divmod(idx, len(p2s))
+        x0 = np.random.default_rng((3, i, k)).uniform(-DEFAULT_AMPLITUDE, DEFAULT_AMPLITUDE, 4)
+        side = cubic_map(p2s[k])
+        traj = simulate_nonlinear(0.6, side, logistic_map(p1s[i]), side, x0, 600)
+        assert (cell.p1, cell.p2) == (p1s[i], p2s[k])
+        assert cell.empirical == classify_trajectory(traj, 100)
 
 
 def test_sweep_empirical_agrees_on_clear_cells():

@@ -17,6 +17,7 @@ from fracml.stability import (
     boundary_gamma,
     boundary_gamma_infinity,
     classify_spectrum,
+    curve_margin,
     eigenvalue_in_region,
     innermost_cardioid_index,
     real_interval,
@@ -120,6 +121,11 @@ def test_membership_real_axis_is_exact():
         assert eigenvalue_in_region(lo + 1e-5, alpha).status == STABLE
         assert eigenvalue_in_region(lo - 1e-5, alpha).status == UNSTABLE
         assert eigenvalue_in_region(2.0, alpha).status == UNSTABLE
+        # a dense solver's nearly real eigenvalues need no snapping
+        for x in (lo + 1e-5, lo - 1e-5, 0.3, 2.0):
+            exact, near = eigenvalue_in_region(x, alpha), eigenvalue_in_region(complex(x, -1e-17), alpha)
+            assert near.status == exact.status
+            assert near.margin == pytest.approx(exact.margin, abs=1e-15)
 
 
 def test_membership_cusp_is_marginal():
@@ -127,9 +133,8 @@ def test_membership_cusp_is_marginal():
 
 
 def test_membership_point_on_curve_is_marginal():
-    curve = boundary_beta(0.6)
-    x, y = curve.xy[1371]
-    v = eigenvalue_in_region(complex(x, y), 0.6, curve=curve)
+    x, y = boundary_beta(0.6).xy[1371]
+    v = eigenvalue_in_region(complex(x, y), 0.6)
     assert v.status == MARGINAL
 
 
@@ -155,27 +160,133 @@ def test_membership_margin_sign_and_magnitude():
     )
 
 
-def test_membership_curve_argument_is_validated():
-    with pytest.raises(ValueError):
-        eigenvalue_in_region(0.1j, 0.5, curve=boundary_beta(0.6))
-    with pytest.raises(ValueError):
-        eigenvalue_in_region(0.1j, 0.5, curve=boundary_gamma_infinity(0.5))
+def _polygon_contains(points, xy):
+    # even-odd ray casting against the sampled closed polygon
+    x0, y0, x1, y1 = xy[:-1, 0], xy[:-1, 1], xy[1:, 0], xy[1:, 1]
+    px, py = points.real[:, None], points.imag[:, None]
+    crosses = (y0 > py) != (y1 > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
+    return np.count_nonzero(crosses & (px < xs), axis=1) % 2 == 1
 
 
-def test_membership_sample_doubling_invariance():
+@pytest.mark.parametrize("alpha, n, j", [(0.65, None, None), (0.15, None, None), (0.4, 7, 2)])
+def test_membership_exact_agrees_with_sampled_polygon(alpha, n, j):
+    # away from the polygon's chords the sampled curve and the exact rule agree
+    samples = 4096
+    if n is None:
+        curve, yscale = boundary_beta(alpha, samples), 1.0
+    else:
+        curve, yscale = boundary_gamma(alpha, n, j, samples), 2.0 * math.sin(2.0 * math.pi * j / n)
     rng = np.random.default_rng(31)
-    coarse = boundary_beta(0.65, samples=4096)
-    fine = boundary_beta(0.65, samples=8192)
-    checked = 0
-    for _ in range(500):
-        lam = complex(rng.uniform(-2.0, 1.5), rng.uniform(-1.8, 1.8))
-        va = eigenvalue_in_region(lam, 0.65, curve=coarse)
-        if abs(va.margin) < 10.0 / 4096.0:
-            continue  # too close to the polygon for either sampling
-        vb = eigenvalue_in_region(lam, 0.65, curve=fine)
-        assert va.status == vb.status
-        checked += 1
-    assert checked > 400
+    points = rng.uniform(-2.0, 2.0, 600) + 1j * rng.uniform(-1.8, 1.8, 600) / yscale
+    margin = curve_margin(points, alpha, yscale)
+    clear = np.abs(margin) > 10.0 / samples
+    assert np.count_nonzero(clear) > 450
+    assert np.array_equal((margin < 0.0)[clear], _polygon_contains(points, curve.xy)[clear])
+
+
+def test_membership_lobe_point_right_of_the_cusp():
+    # inside the curve by 3.97e-7 (mpmath, 40 digits); an 8192-gon's chord
+    # error there is larger than that, and it called the point unstable
+    alpha = 0.1586272484701054
+    v = eigenvalue_in_region(1.5938146224751797 - 0.1802158556099759j, alpha)
+    assert v.status == STABLE
+    assert v.margin == pytest.approx(-3.970851290979297678e-7, abs=1e-15)
+
+
+def _distance_oracle(points, alpha, yscale):
+    """Distance to the y-scaled curve by dense search and golden sections.
+
+    Two parametrisations cover the upper half curve: by t, and by the
+    distance rho from the cusp, where theta(rho) = alpha pi/2 +
+    (2 - alpha) arcsin(rho^(1/alpha) / 2).  Near the cusp t underflows
+    long before rho does, so the rho grid resolves it; near t = pi the
+    rho parametrisation is singular and the t grid resolves it.
+    """
+    a = alpha
+    p = points.real - 1.0 + 1j * (yscale * np.abs(points.imag))  # lambda - 1 in the beta plane
+
+    def by_t(t):
+        return (2.0 * np.sin(0.5 * t)) ** a * np.exp(1j * (0.5 * a * math.pi + t * (1.0 - 0.5 * a)))
+
+    def by_rho(rho):
+        s = np.minimum(0.5 * rho ** (1.0 / a), 1.0)
+        return rho * np.exp(1j * (0.5 * a * math.pi + (2.0 - a) * np.arcsin(s)))
+
+    def dist2(curve, param, q):
+        e = curve(param) - q
+        return e.real**2 + (e.imag / yscale) ** 2
+
+    best = np.full(len(p), np.inf)
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    q = p[:, None]
+    for curve, top in ((by_t, math.pi), (by_rho, 2.0**a)):
+        grid = np.linspace(0.0, top, 4097)
+        d = dist2(curve, grid[None, :], q)
+        best = np.minimum(best, d.min(axis=1))
+        pad = np.pad(d, ((0, 0), (1, 1)), constant_values=np.inf)
+        local = (d <= pad[:, :-2]) & (d <= pad[:, 2:])
+        order = np.argsort(np.where(local, d, np.inf), axis=1)[:, :3]  # best three local minima
+        lo = grid[np.maximum(order - 1, 0)]
+        hi = grid[np.minimum(order + 1, len(grid) - 1)]
+        for _ in range(90):
+            x1 = hi - gold * (hi - lo)
+            x2 = lo + gold * (hi - lo)
+            f1, f2 = dist2(curve, x1, q), dist2(curve, x2, q)
+            left = f1 < f2
+            hi = np.where(left, x2, hi)
+            lo = np.where(left, lo, x1)
+            best = np.minimum(best, np.minimum(f1, f2).min(axis=1))
+    return np.sqrt(best)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.06, 0.15, 0.35, 0.6, 0.85, 1.0])
+@pytest.mark.parametrize("yscale", [1.0, 2.0 * math.sin(2.0 * math.pi * 2 / 7)])
+def test_curve_margin_matches_oracle(alpha, yscale):
+    rng = np.random.default_rng(int(alpha * 1000) + 7)
+    wide = rng.uniform(-2.2, 2.2, 60) + 1j * rng.uniform(-1.6, 1.6, 60)
+    # near the cusp, from every direction, down to 1e-9 away
+    cusp = 1.0 + 10.0 ** rng.uniform(-9, -0.5, 40) * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))
+    # on and next to the curve itself, the lobes right of the cusp included
+    t = np.concatenate((10.0 ** rng.uniform(-12, -1, 20), rng.uniform(0.0, 2.0 * math.pi, 20)))
+    lam = 1.0 + (2.0 * np.sin(0.5 * t)) ** alpha * np.exp(1j * (0.5 * alpha * math.pi + t * (1.0 - 0.5 * alpha)))
+    near = lam + 10.0 ** rng.uniform(-8, -2, 40) * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))
+    points = np.concatenate((wide, cusp, near))
+    points = points.real + 1j * points.imag / yscale
+    margin = curve_margin(points, alpha, yscale)
+    assert np.max(np.abs(np.abs(margin) - _distance_oracle(points, alpha, yscale))) < 1e-9
+
+
+@pytest.mark.parametrize("alpha, yscale, lam", [
+    (0.04174078466430968, 0.24167792771541155, 1.4400344742210263 - 0.6102332193954043j),
+    (0.028969236922992768, 0.41019476614114947, 0.977408714025688 - 1.1191397880587848j),
+    (0.10690915929183398, 1.0, 0.5677952552513927 + 0.31600518174234526j),
+    (0.34623353206364826, 1.0, 0.6345580869705607 + 0.47030844710318975j),
+])
+def test_curve_margin_finds_the_nearer_of_two_arcs(alpha, yscale, lam):
+    # nearly as far from two arcs: refining only the best seed ends on the
+    # farther arc, off by up to 2e-2
+    points = np.array([lam])
+    margin = curve_margin(points, alpha, yscale)
+    assert abs(abs(margin[0]) - _distance_oracle(points, alpha, yscale)[0]) < 1e-12
+
+
+def test_curve_margin_conjugates_are_bit_identical():
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(-1.5, 1.5, 257) + 1j * rng.uniform(-1.5, 1.5, 257)
+    for alpha, yscale in ((0.3, 1.0), (0.8, 1.7)):
+        both = curve_margin(np.concatenate((lam, np.conj(lam[::-1]))), alpha, yscale)
+        assert np.array_equal(both[:257].view(np.int64), both[257:][::-1].view(np.int64))
+
+
+def test_curve_margin_shape_and_validation():
+    assert curve_margin(0.0, 0.5).shape == ()
+    assert curve_margin(np.zeros((3, 2)), 0.5).shape == (3, 2)
+    with pytest.raises(ValueError):
+        curve_margin(0.0, 0.5, yscale=0.0)
+    with pytest.raises(ValueError):
+        curve_margin(0.0, 1.5)
 
 
 def test_classify_spectrum_aggregates():
@@ -196,6 +307,8 @@ def test_classify_spectrum_accepts_plain_arrays():
     assert v.status == STABLE
     with pytest.raises(ValueError):
         classify_spectrum([], 0.5)
+    with pytest.raises(ValueError):
+        classify_spectrum([0.2, complex("nan")], 0.5)
 
 
 def test_classify_spectrum_unstable_beats_marginal():
@@ -304,9 +417,9 @@ def test_asymmetric_region_structure():
     region = asymmetric_region(0.3, 6)
     assert isinstance(region, AsymmetricRegion)
     assert region.j == 1
-    assert region.curve is not None and region.curve.kind == "gamma"
+    assert region.yscale == 2.0 * math.sin(2.0 * math.pi / 6)
     tiny = asymmetric_region(0.3, 2)
-    assert tiny.curve is None
+    assert tiny.yscale is None
 
 
 def test_asymmetric_region_membership_examples():
@@ -375,12 +488,27 @@ def test_thermodynamic_asymmetric_uses_limit_curve():
     thermo = thermodynamic_region(0.6, "asymmetric")
     assert isinstance(thermo, AsymmetricRegion)
     assert thermo.n is None
-    assert np.array_equal(thermo.curve.xy, boundary_gamma_infinity(0.6).xy)
+    assert thermo.yscale == 2.0  # the y scale of boundary_gamma_infinity
     # the limit region is contained in every finite-N region
     finite = asymmetric_region(0.6, 9)
     for a1, a2 in ((0.3, 0.2), (0.0, -0.4), (-0.2, 0.1)):
         if thermo.contains(a1, a2):
             assert finite.contains(a1, a2)
+
+
+def test_thermodynamic_asymmetric_equals_quarter_mode_region():
+    # at n = 8 the innermost mode has sin(2 pi j / n) = 1, the limit's factor
+    rng = np.random.default_rng(17)
+    for alpha in (0.1, 0.45, 0.9):
+        thermo = thermodynamic_region(alpha, "asymmetric")
+        quarter = asymmetric_region(alpha, 8)
+        a1 = rng.uniform(-1.2, 1.2, 300)
+        a2 = rng.uniform(-1.0, 1.0, 300)
+        margin = thermo.signed_margin(a1, a2)
+        assert np.array_equal(margin, quarter.signed_margin(a1, a2))
+        assert np.count_nonzero(margin < 0.0) > 30 and np.count_nonzero(margin > 0.0) > 30
+        for x, y in zip(a1[:40], a2[:40]):
+            assert thermo.classify(x, y) == quarter.classify(x, y)
 
 
 def test_thermodynamic_mode_is_validated():
