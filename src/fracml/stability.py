@@ -63,11 +63,11 @@ MARGINAL = "marginal"
 class Verdict:
     """Outcome of a membership test.
 
-    ``margin`` is the signed Euclidean distance to the nearest boundary,
-    negative inside the stable set and positive outside.  The status is
-    read from it (see :func:`margin_status`): within the band of zero it
-    is marginal, otherwise its sign decides.  ``witness`` carries the
-    offending eigenvalue when one exists.
+    ``margin`` is a signed distance to the boundary, negative inside the
+    stable set and positive outside; to a curve it is the exact Euclidean
+    distance.  The status is read from it (see :func:`margin_status`):
+    within the band of zero it is marginal, otherwise its sign decides.
+    ``witness`` carries the offending eigenvalue when one exists.
     """
 
     status: str
@@ -209,16 +209,15 @@ def _locus(v: np.ndarray, a: float):
     m = x cot x + i (2 - a) x / a.
     """
     x = (0.5 * math.pi) * v ** (1.0 / a)
-    q = np.divide(np.sin(x), x, out=np.ones(x.shape), where=x > 0.0)
+    tiny = np.maximum(x, 1e-300)  # sin(x)/x is 1.0 there, and 0/0 is avoided
+    q = np.sin(tiny) / tiny
     u = (math.pi * q) ** a * np.exp(1j * (0.5 * a * math.pi + (2.0 - a) * x))
     xcot = np.cos(x) / q
     k = (1j * (2.0 - a) / a) * x
     m = xcot + k
-    # the second derivative tends to 0 at the cusp for a < 1
-    z2 = np.divide(
-        u * ((m - 1.0) * m + (xcot - q**-2 + k) / a), v,
-        out=np.zeros(u.shape, dtype=complex), where=v > 0.0,
-    )
+    # the bracket vanishes at the cusp (v = 0), where the second derivative
+    # tends to 0 for a < 1
+    z2 = u * ((m - 1.0) * m + (xcot - q**-2 + k) / a) / np.maximum(v, 1e-300)
     return v * u, u * m, z2
 
 
@@ -266,7 +265,7 @@ def _nearest(p: np.ndarray, a: float, w: float) -> np.ndarray:
     d0, d1, d2 = d[rows, below], d[rows, k], d[rows, above]
     num = (v - lo) ** 2 * (d1 - d2) - (hi - v) ** 2 * (d1 - d0)
     den = (v - lo) * (d1 - d2) + (hi - v) * (d1 - d0)
-    v = np.clip(v - 0.5 * np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0), lo, hi)
+    v = np.minimum(np.maximum(v - 0.5 * np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0), lo), hi)
     for _ in range(60):
         z, z1, z2 = _locus(v, a)
         e = z - pc
@@ -312,7 +311,7 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
     p = np.asarray(points, dtype=complex)
     # folding makes the margins of conjugate points bit-identical
     z = (p.real - 1.0) + 1j * (s * np.abs(p.imag))
-    t = (np.angle(z) - 0.5 * a * math.pi) / (1.0 - 0.5 * a)
+    t = (np.arctan2(z.imag, z.real) - 0.5 * a * math.pi) / (1.0 - 0.5 * a)
     inside = np.abs(z) < (2.0 * np.sin(0.5 * np.maximum(t, 0.0))) ** a
     flat = z.ravel()
     best = np.empty(flat.shape)
@@ -347,9 +346,8 @@ def classify_spectrum(spectrum, alpha: float, band: float = BOUNDARY_BAND) -> Ve
     if np.isnan(values).any():
         raise ValueError("cannot classify a spectrum with NaN eigenvalues")
     margins = curve_margin(values, alpha)
-    worst = np.flatnonzero(margins == margins.max())
     # conjugate pairs tie on margin; report the upper half-plane one
-    k = worst[np.argmax(values.imag[worst])]
+    k = np.argmax(np.where(margins == margins.max(), values.imag, -np.inf))
     margin = float(margins[k])
     status = margin_status(margin, band)
     return Verdict(status, witness=None if status == STABLE else complex(values[k]), margin=margin)
