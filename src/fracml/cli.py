@@ -80,11 +80,18 @@ def write_asymmetric_region_csv(
             fh.write(f"{name},1,{_fmt(x)},{_fmt(1.0)}\n")
 
 
+_CSV_ROWS = 256  # rows per write; bounds the Python floats alive at once
+
+
 def write_trajectory_csv(fh, traj: dynamics.Trajectory) -> None:
     n = traj.sites
     fh.write("t," + ",".join(f"site_{k + 1}" for k in range(n)) + "\n")
-    for t, row in enumerate(traj.states):
-        fh.write(str(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    # one % operation per row; "%.17g" prints what _fmt prints
+    line = "%d" + ",%.17g" * n + "\n"
+    states = traj.states
+    for start in range(0, len(states), _CSV_ROWS):
+        rows = states[start:start + _CSV_ROWS].tolist()
+        fh.write("".join([line % (t, *row) for t, row in enumerate(rows, start)]))
 
 
 def write_sweep_csv(fh, cells) -> None:

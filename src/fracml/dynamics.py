@@ -5,15 +5,20 @@ sum, the site-map library with closed-form derivatives, homogeneous
 equilibrium solving, linearization, empirical trajectory verdicts, and
 two-parameter stability sweeps.
 
-Every step of a simulation reads the entire history (the kernel weight
-depends on t - j), so a horizon-T run stores O(T * N) states and costs
-O(T^2 * N) time.  That is inherent, not an implementation shortcut.
+Every step of a simulation depends on the entire history (the kernel
+weight depends on t - j), so a horizon-T run stores O(T * N) states.
+It does not need O(T^2 * N) time: both simulators share one loop that
+sums recent history directly and adds older history in blocks by FFT
+products (blocked online convolution, after Hairer, Lubich & Schlichte
+1985), which costs O(T log^2 T * N).  The direct sum stays in
+``fractional.memory_convolution``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,7 @@ from .spectra import CirculantSpec, circulant_eigenvalues
 
 __all__ = [
     "HORIZON_CAP",
+    "MEMORY_CAP_BYTES",
     "DIVERGENCE_CUTOFF",
     "DEFAULT_SEED",
     "DEFAULT_AMPLITUDE",
@@ -49,9 +55,14 @@ __all__ = [
 ]
 
 HORIZON_CAP = 100_000
+MEMORY_CAP_BYTES = 1 << 30  # state and drift arrays of one run
 DIVERGENCE_CUTOFF = 1e8
 DEFAULT_SEED = 42
 DEFAULT_AMPLITUDE = 0.01
+
+_NEAR = 128  # steps per block of the memory sum that is summed directly
+_FFT_BLOCK = 1 << 15  # values per FFT product; keeps its temporaries small beside the history
+_DOUBLE_MAX = sys.float_info.max
 
 DECAYING = "decaying"
 GROWING = "growing"
@@ -240,6 +251,68 @@ def _check_horizon(horizon: int) -> int:
     return t
 
 
+def _check_memory(t_max: int, n: int) -> None:
+    # the run keeps two (T+1) x N float arrays: states and drifts
+    need = 2 * 8 * (t_max + 1) * n
+    if need > MEMORY_CAP_BYTES:
+        raise ValueError(
+            f"a run of {t_max} steps on {n} sites needs {need / 2**20:.0f} MiB, "
+            f"above the cap of {MEMORY_CAP_BYTES / 2**20:.0f} MiB"
+        )
+
+
+def _ring_neighbors(n: int):
+    """Index arrays of the left and right neighbor of each site."""
+    k = np.arange(n)
+    return (k - 1) % n, (k + 1) % n
+
+
+def _run(alpha: float, drift, x_init: np.ndarray, t_max: int, cutoff: float) -> Trajectory:
+    """Iterate X_{t+1} = X_0 + sum_{j<=t} w[t-j] G(X_j) with G = ``drift``.
+
+    The memory sum is split exactly, each pair (j, t) counted once.
+    Pairs in the same aligned block of _NEAR steps are summed directly
+    by memory_convolution.  Every other pair falls in one dyadic block:
+    when step m, a multiple of _NEAR, completes g[m-L:m] with
+    L = lowbit(m), one FFT product adds that block's contribution to
+    X_{m+1} .. X_{m+L}.  Rows of ``hist`` ahead of the current step hold
+    X_0 plus the far-field sums added so far.  A run costs
+    O(T log^2 T * N).
+    """
+    w = kernel_weights(alpha, t_max + 1)
+    n = len(x_init)
+    hist = np.empty((t_max + 1, n))
+    hist[:] = x_init
+    g = np.empty_like(hist)
+    weights_ft = {}  # FFT size -> transform of w[1:size]
+    # finite states above ``limit`` end the run; a NaN or infinite cutoff
+    # leaves only non-finite states to end it
+    limit = float(cutoff) if cutoff < _DOUBLE_MAX else _DOUBLE_MAX
+    with np.errstate(all="ignore"):
+        for t in range(t_max):
+            b = t - t % _NEAR
+            if t == b and b:
+                span = b & -b
+                rows = min(span, t_max - b)
+                size = span + rows  # no wrap-around reaches the rows kept
+                wft = weights_ft.get(size)
+                if wft is None:
+                    wft = weights_ft[size] = np.fft.rfft(w.w[1:size], size)[:, None]
+                cols = max(1, _FFT_BLOCK // size)  # sites per FFT product
+                for c in range(0, n, cols):
+                    prod = np.fft.rfft(g[b - span:b, c:c + cols], size, axis=0)
+                    prod *= wft
+                    far = np.fft.irfft(prod, size, axis=0)
+                    hist[b + 1:b + 1 + rows, c:c + cols] += far[span - 1:span - 1 + rows]
+            g[t] = drift(hist[t])
+            x = hist[t + 1]
+            x += memory_convolution(w, g[b:], t - b)
+            if not np.abs(x).max() <= limit:
+                keep = t + 2 if np.isfinite(x).all() else t + 1
+                return Trajectory(hist[:keep].copy(), alpha, diverged=True)
+    return Trajectory(hist, alpha)
+
+
 def simulate_linear(
     alpha: float,
     coupling,
@@ -249,35 +322,34 @@ def simulate_linear(
 ) -> Trajectory:
     """Linear lattice run X_{t+1} = X_0 + (A - I) sum_j w[t-j] X_j.
 
-    ``coupling`` is a CirculantSpec or an explicit square matrix.  At
-    alpha = 1 every weight is 1 and the iteration telescopes to the
-    classical X_{t+1} = A X_t.
+    ``coupling`` is a CirculantSpec, applied as its three-term stencil,
+    or an explicit square matrix.  At alpha = 1 every weight is 1 and
+    the iteration telescopes to the classical X_{t+1} = A X_t.
     """
     a = validate_order(alpha)
     t_max = _check_horizon(horizon)
-    mat = coupling.matrix() if isinstance(coupling, CirculantSpec) else np.asarray(coupling, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"coupling matrix must be square, got shape {mat.shape}")
-    x_init = np.asarray(x0, dtype=float).copy()
-    if x_init.shape != (mat.shape[0],):
-        raise ValueError(f"initial state shape {x_init.shape} does not match n = {mat.shape[0]}")
-    shifted = mat - np.eye(mat.shape[0])
-    w = kernel_weights(a, t_max + 1)
-    hist = np.zeros((t_max + 1, mat.shape[0]))
-    hist[0] = x_init
-    for t in range(t_max):
-        x_next = x_init + shifted @ memory_convolution(w, hist, t)
-        if not np.all(np.isfinite(x_next)):
-            return Trajectory(hist[: t + 1].copy(), a, diverged=True)
-        hist[t + 1] = x_next
-        if np.max(np.abs(x_next)) > cutoff:
-            return Trajectory(hist[: t + 2].copy(), a, diverged=True)
-    return Trajectory(hist, a)
+    if isinstance(coupling, CirculantSpec):
+        n = coupling.n
+    else:
+        mat = np.asarray(coupling, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"coupling matrix must be square, got shape {mat.shape}")
+        n = mat.shape[0]
+    x_init = np.asarray(x0, dtype=float)
+    if x_init.shape != (n,):
+        raise ValueError(f"initial state shape {x_init.shape} does not match n = {n}")
+    _check_memory(t_max, n)
+    if isinstance(coupling, CirculantSpec):
+        # for n <= 2 neighbors coincide and their weights add, as in matrix()
+        stencil = np.stack([*_ring_neighbors(n), np.arange(n)])
+        coef = np.array([coupling.a0, coupling.a2, coupling.a1 - 1.0])
 
-
-def _lattice_apply(f0: MapSpec, f1: MapSpec, f2: MapSpec, x: np.ndarray) -> np.ndarray:
-    # periodic ring: site k reads x[k-1], x[k], x[k+1]
-    return eval_map(f0, np.roll(x, 1)) + eval_map(f1, x) + eval_map(f2, np.roll(x, -1))
+        def drift(x):
+            return coef @ x[stencil]
+    else:
+        def drift(x):
+            return mat @ x - x
+    return _run(a, drift, x_init, t_max, cutoff)
 
 
 def simulate_nonlinear(
@@ -297,27 +369,16 @@ def simulate_nonlinear(
     """
     a = validate_order(alpha)
     t_max = _check_horizon(horizon)
-    x_init = np.asarray(x0, dtype=float).copy()
+    x_init = np.asarray(x0, dtype=float)
     if x_init.ndim != 1 or len(x_init) < 1:
         raise ValueError("initial state must be a non-empty vector")
-    w = kernel_weights(a, t_max + 1)
-    n = len(x_init)
-    hist = np.zeros((t_max + 1, n))
-    drift = np.zeros((t_max + 1, n))
-    hist[0] = x_init
-    for t in range(t_max):
-        with np.errstate(all="ignore"):
-            g = _lattice_apply(f0, f1, f2, hist[t]) - hist[t]
-        if not np.all(np.isfinite(g)):
-            return Trajectory(hist[: t + 1].copy(), a, diverged=True)
-        drift[t] = g
-        x_next = x_init + memory_convolution(w, drift, t)
-        if not np.all(np.isfinite(x_next)):
-            return Trajectory(hist[: t + 1].copy(), a, diverged=True)
-        hist[t + 1] = x_next
-        if np.max(np.abs(x_next)) > cutoff:
-            return Trajectory(hist[: t + 2].copy(), a, diverged=True)
-    return Trajectory(hist, a)
+    _check_memory(t_max, len(x_init))
+    left, right = _ring_neighbors(len(x_init))
+
+    def drift(x):
+        return eval_map(f0, x[left]) + eval_map(f1, x) + eval_map(f2, x[right]) - x
+
+    return _run(a, drift, x_init, t_max, cutoff)
 
 
 def classify_trajectory(traj: Trajectory, window: int = 100, reference=0.0) -> str:

@@ -151,9 +151,9 @@ def memory_convolution(weights: KernelWeights, history, t: int) -> np.ndarray:
     """Weighted history sum sum_{j=0}^{t} w[t-j] * X_j.
 
     ``history`` holds the state vectors X_0 .. X_t (rows); the result is
-    one vector.  Cost is O((t+1) * N) per call, so a full horizon-T run
-    costs O(T^2 * N); accepted, since the kernel depends on t - j and no
-    finite-state shortcut exists.
+    one vector.  Cost is O((t+1) * N) per call.  The simulators call it
+    only for the recent steps of a block and add older history by FFT
+    products; over the whole history it is their test oracle.
     """
     h = np.asarray(history, dtype=float)
     k = int(t)

@@ -1,12 +1,14 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fracml.cli import main
+from fracml.cli import main, write_trajectory_csv
+from fracml.dynamics import Trajectory
 from fracml.stability import symmetric_region
 
 
@@ -299,6 +301,35 @@ def test_simulate_config_errors(capsys, tmp_path):
 
     code, _, err = run(capsys, "simulate", "--config", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+def test_simulate_oversized_run_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "kind": "linear", "alpha": 0.5, "n": 10**6,
+        "a0": 0.1, "a1": 0.2, "a2": 0.1, "horizon": 10**4,
+    }))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert "MiB" in err
+
+
+def test_trajectory_csv_matches_per_value_writer():
+    states = np.array([
+        [-0.0, 0.0, 1e-320, -5e-324],
+        [1e300, -1.7976931348623157e308, 1e-300, -2.2250738585072014e-308],
+        [0.1, -1.0 / 3.0, 123456789.0, 2.0**-1074],
+        [math.inf, -math.inf, math.nan, 1.0],
+    ])
+    states = np.concatenate([states, np.random.default_rng(1).normal(size=(600, 4))])
+    buf = io.StringIO()
+    write_trajectory_csv(buf, Trajectory(states, 0.5))
+    expected = "t,site_1,site_2,site_3,site_4\n" + "".join(
+        str(t) + "," + ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for t, row in enumerate(states)
+    )
+    assert buf.getvalue() == expected
+    assert "-0,0,9.9998886718268301e-321,-4.9406564584124654e-324\n" in expected
 
 
 def test_sweep_analytic_csv(capsys, tmp_path):

@@ -1,15 +1,22 @@
 """Tests for maps, equilibria, lattice simulators, and sweeps."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fracml import dynamics
 from fracml.dynamics import (
+    _NEAR,
     DECAYING,
     DEFAULT_AMPLITUDE,
+    DIVERGENCE_CUTOFF,
     DIVERGED,
     GROWING,
     HORIZON_CAP,
     INCONCLUSIVE,
+    MEMORY_CAP_BYTES,
     MapSpec,
     Trajectory,
     circle_map,
@@ -28,6 +35,7 @@ from fracml.dynamics import (
     simulate_nonlinear,
     sweep,
 )
+from fracml.fractional import kernel_weights, memory_convolution
 from fracml.spectra import CirculantSpec
 
 
@@ -152,6 +160,137 @@ def test_simulate_linear_divergence_truncates():
     assert traj.horizon < 2000
     assert np.max(np.abs(traj.states[-1])) > 1e6  # cutoff row is kept
     assert np.all(np.isfinite(traj.states))
+
+
+def _direct_linear(alpha, mat, x0, horizon, cutoff=DIVERGENCE_CUTOFF):
+    """Oracle: X_{t+1} = X_0 + (A - I) times the full-history sum, O(T^2 N)."""
+    w = kernel_weights(alpha, horizon + 1)
+    shifted = mat - np.eye(len(x0))
+    hist = np.zeros((horizon + 1, len(x0)))
+    hist[0] = x0
+    for t in range(horizon):
+        x = x0 + shifted @ memory_convolution(w, hist, t)
+        if not np.all(np.isfinite(x)):
+            return hist[: t + 1], True
+        hist[t + 1] = x
+        if np.max(np.abs(x)) > cutoff:
+            return hist[: t + 2], True
+    return hist, False
+
+
+def _direct_nonlinear(alpha, f0, f1, f2, x0, horizon, cutoff=DIVERGENCE_CUTOFF):
+    """Oracle: X_{t+1} = X_0 + the full-history sum of F(X_j) - X_j."""
+    w = kernel_weights(alpha, horizon + 1)
+    hist = np.zeros((horizon + 1, len(x0)))
+    drift = np.zeros_like(hist)
+    hist[0] = x0
+    for t in range(horizon):
+        x = hist[t]
+        with np.errstate(all="ignore"):
+            drift[t] = eval_map(f0, np.roll(x, 1)) + eval_map(f1, x) + eval_map(f2, np.roll(x, -1)) - x
+            x_next = x0 + memory_convolution(w, drift, t)
+        if not np.all(np.isfinite(x_next)):
+            return hist[: t + 1], True
+        hist[t + 1] = x_next
+        if np.max(np.abs(x_next)) > cutoff:
+            return hist[: t + 2], True
+    return hist, False
+
+
+def _assert_matches_oracle(traj, oracle):
+    states, diverged = oracle
+    assert traj.diverged == diverged
+    assert traj.states.shape == states.shape
+    peak = np.max(np.abs(states))
+    assert np.max(np.abs(traj.states - states)) <= 1e-12 * peak
+
+
+_BLOCK_EDGES = [_NEAR - 1, _NEAR, _NEAR + 1] + [
+    (2**k) * _NEAR + d for k in range(1, 6) for d in (-1, 1)
+]
+
+
+@pytest.mark.parametrize("horizon", _BLOCK_EDGES)
+def test_simulate_linear_matches_direct_sum(horizon):
+    spec = CirculantSpec(0.05, 0.2, -0.08, 3)
+    x0 = seeded_state(3, seed=1)
+    oracle = _direct_linear(0.6, spec.matrix(), x0, horizon)
+    _assert_matches_oracle(simulate_linear(0.6, spec, x0, horizon), oracle)
+
+
+@pytest.mark.parametrize("horizon", _BLOCK_EDGES)
+def test_simulate_nonlinear_matches_direct_sum(horizon):
+    side, site = cubic_map(0.03), logistic_map(0.5)
+    x0 = seeded_state(4, seed=2)
+    oracle = _direct_nonlinear(0.55, side, site, side, x0, horizon)
+    _assert_matches_oracle(simulate_nonlinear(0.55, side, site, side, x0, horizon), oracle)
+
+
+def test_simulate_linear_explicit_matrix_matches_direct_sum():
+    mat = np.random.default_rng(5).normal(size=(5, 5)) * 0.2
+    x0 = seeded_state(5, seed=5)
+    for horizon in (2 * _NEAR + 1, 1500):
+        oracle = _direct_linear(0.7, mat, x0, horizon)
+        _assert_matches_oracle(simulate_linear(0.7, mat, x0, horizon), oracle)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_rings_match_direct_sum(n):
+    # left and right neighbor coincide: their weights add
+    spec = CirculantSpec(0.1, 0.3, 0.25, n)
+    x0 = seeded_state(n, seed=n)
+    _assert_matches_oracle(
+        simulate_linear(0.7, spec, x0, 1000), _direct_linear(0.7, spec.matrix(), x0, 1000)
+    )
+    f0, f1, f2 = linear_map(0.1), logistic_map(0.3), cubic_map(0.25)
+    _assert_matches_oracle(
+        simulate_nonlinear(0.7, f0, f1, f2, x0, 1000),
+        _direct_nonlinear(0.7, f0, f1, f2, x0, 1000),
+    )
+
+
+def test_diverging_run_matches_direct_sum():
+    # exponential growth to the cutoff near step 2500: FFT rounding of the
+    # large late blocks must not move the step at which the run is cut
+    alpha, a2 = 0.4, 0.015
+    z = math.exp(-23.0 / 2500.0)
+    eps = (1.0 - z) ** alpha / z  # leading mode grows by e^(23/2500) per step
+    spec = CirculantSpec(a2, 1.0 + eps - 2.0 * a2, a2, 5)
+    x0 = seeded_state(5, seed=3)
+    traj = simulate_linear(alpha, spec, x0, 5000)
+    oracle = _direct_linear(alpha, spec.matrix(), x0, 5000)
+    _assert_matches_oracle(traj, oracle)
+    assert traj.diverged and 2000 < traj.horizon < 3000
+
+
+def test_non_finite_run_matches_direct_sum():
+    # no cutoff: the cubic overflows and the run ends at the last finite row
+    f0, f1, f2 = cubic_map(0.1), scaled_map(3.0, cubic_map(0.0)), cubic_map(0.1)
+    x0 = np.full(4, 2.0)
+    traj = simulate_nonlinear(0.9, f0, f1, f2, x0, 500, cutoff=math.inf)
+    _assert_matches_oracle(traj, _direct_nonlinear(0.9, f0, f1, f2, x0, 500, cutoff=math.inf))
+    assert traj.diverged and np.all(np.isfinite(traj.states))
+
+
+def test_memory_cap_rejects_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    monkeypatch.setattr(dynamics, "kernel_weights", refuse)
+    monkeypatch.setattr(CirculantSpec, "matrix", refuse)
+    n, horizon = 10**6, 10**4
+    assert 2 * 8 * (horizon + 1) * n > MEMORY_CAP_BYTES
+    x0 = np.zeros(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MiB"):
+            simulate_linear(0.5, CirculantSpec(0.1, 0.2, 0.1, n), x0, horizon)
+        with pytest.raises(ValueError, match="MiB"):
+            simulate_nonlinear(0.5, linear_map(0.1), linear_map(0.2), linear_map(0.1), x0, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x0.nbytes  # the copy of x0, no history
 
 
 def test_nonlinear_with_linear_maps_matches_linear_route():
