@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -141,7 +142,21 @@ def _cfg_num(cfg: dict, key: str, where: str, default=None, required: bool = Fal
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where}: key {key!r} must be a number, got {v!r}")
-    return float(v)
+    x = float(v)
+    # JSON reads 1e999 as inf and accepts NaN; a cutoff of +inf means "no cutoff"
+    if not (math.isfinite(x) or (key == "cutoff" and x == math.inf)):
+        raise ValueError(f"{where}: key {key!r} must be finite, got {x!r}")
+    return x
+
+
+def _cfg_list(cfg: dict, key: str, where: str) -> np.ndarray:
+    vals = cfg[key]
+    if not isinstance(vals, list) or not vals:
+        raise ValueError(f"{where}: {key!r} must be a non-empty list of numbers")
+    x = np.asarray([float(v) for v in vals])
+    if not np.isfinite(x).all():
+        raise ValueError(f"{where}: {key!r} must hold finite numbers")
+    return x
 
 
 _MAP_PARAM_KEY = {"linear": "a", "logistic": "mu", "cubic": "delta", "circle": "delta"}
@@ -165,10 +180,7 @@ def _map_from_config(obj, where: str) -> dynamics.MapSpec:
 
 def _axis_values(obj, where: str) -> np.ndarray:
     if isinstance(obj, dict) and "values" in obj:
-        vals = obj["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ValueError(f"{where}: 'values' must be a non-empty list")
-        return np.asarray([float(v) for v in vals])
+        return _cfg_list(obj, "values", where)
     if isinstance(obj, dict):
         lov = _cfg_num(obj, "min", where, required=True)
         hiv = _cfg_num(obj, "max", where, required=True)
@@ -257,9 +269,7 @@ def _simulate_from_config(cfg: dict, where: str) -> tuple[dynamics.Trajectory, f
     window = int(_cfg_num(cfg, "window", where, default=100))
     positive = bool(cfg.get("positive", False))
     if "x0" in cfg:
-        if not isinstance(cfg["x0"], list) or not cfg["x0"]:
-            raise ValueError(f"{where}: 'x0' must be a non-empty list of numbers")
-        x0 = np.asarray([float(v) for v in cfg["x0"]])
+        x0 = _cfg_list(cfg, "x0", where)
         n = len(x0)
         if "n" in cfg and int(_cfg_num(cfg, "n", where)) != n:
             raise ValueError(f"{where}: 'n' contradicts len(x0)")

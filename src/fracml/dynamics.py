@@ -80,8 +80,7 @@ class MapSpec:
     logistic  mu * x * (1 - x)   mu
     cubic     4 x^3 - delta * x  delta
     circle    x + delta * sin x  delta
-    scaled    c * base(x)        c
-    negated   -base(x)           (unused)
+    scaled    c * base(x)        c      (negated_map: c = -1.0, exact negation)
     """
 
     kind: str
@@ -89,9 +88,9 @@ class MapSpec:
     base: "MapSpec | None" = None
 
     def __post_init__(self):
-        if self.kind not in ("linear", "logistic", "cubic", "circle", "scaled", "negated"):
+        if self.kind not in ("linear", "logistic", "cubic", "circle", "scaled"):
             raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.kind in ("scaled", "negated") and self.base is None:
+        if self.kind == "scaled" and self.base is None:
             raise ValueError(f"map kind {self.kind!r} needs a base map")
         object.__setattr__(self, "param", float(self.param))
 
@@ -117,7 +116,7 @@ def scaled_map(c: float, base: MapSpec) -> MapSpec:
 
 
 def negated_map(base: MapSpec) -> MapSpec:
-    return MapSpec("negated", 0.0, base)
+    return MapSpec("scaled", -1.0, base)
 
 
 def eval_map(f: MapSpec, x):
@@ -130,9 +129,7 @@ def eval_map(f: MapSpec, x):
         return 4.0 * x**3 - f.param * x
     if f.kind == "circle":
         return x + f.param * np.sin(x)
-    if f.kind == "scaled":
-        return f.param * eval_map(f.base, x)
-    return -eval_map(f.base, x)
+    return f.param * eval_map(f.base, x)
 
 
 def eval_map_derivative(f: MapSpec, x):
@@ -145,9 +142,7 @@ def eval_map_derivative(f: MapSpec, x):
         return 12.0 * x**2 - f.param
     if f.kind == "circle":
         return 1.0 + f.param * np.cos(x)
-    if f.kind == "scaled":
-        return f.param * eval_map_derivative(f.base, x)
-    return -eval_map_derivative(f.base, x)
+    return f.param * eval_map_derivative(f.base, x)
 
 
 @dataclass(frozen=True)
@@ -159,20 +154,18 @@ class Equilibrium:
 
 
 def find_homogeneous_equilibrium(
-    f0: MapSpec, f1: MapSpec, f2: MapSpec, guess: float = 0.0, tol: float = 1e-12
+    f0: MapSpec, f1: MapSpec, f2: MapSpec, guess: float = 0.0
 ) -> Equilibrium:
     """Newton iteration on g(x) = f0(x) + f1(x) + f2(x) - x.
 
-    Uses the closed-form derivatives; at most 100 steps.  Raises with
-    the last iterate on stall or non-convergence rather than returning a
-    bad point.
+    Uses the closed-form derivatives; at most 100 steps, stopping once
+    |g| <= 1e-12.  Raises with the last iterate on stall or
+    non-convergence rather than returning a bad point.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     x = float(guess)
     for _ in range(100):
         g = float(eval_map(f0, x) + eval_map(f1, x) + eval_map(f2, x)) - x
-        if abs(g) <= tol:
+        if abs(g) <= 1e-12:
             return Equilibrium(x, abs(g))
         dg = (
             float(
@@ -463,8 +456,6 @@ def sweep(
     window: int = 100,
     seed: int = DEFAULT_SEED,
     amplitude: float = DEFAULT_AMPLITUDE,
-    band: float = stability.BOUNDARY_BAND,
-    cutoff: float = DIVERGENCE_CUTOFF,
     threads: int | None = None,
 ) -> list[SweepCell]:
     """Two-parameter stability map over a grid.
@@ -476,13 +467,15 @@ def sweep(
     cells at once, not cell by cell.  ``simulate=True`` adds the
     empirical verdict of a seeded run per cell, run one after another;
     cell (i, k) draws its initial state from default_rng((seed, i, k)).
-    ``threads`` is accepted for compatibility and ignored.
+    Verdicts use ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
+    ``threads`` is accepted and ignored.  NaN parameters raise ValueError.
     """
     if mode not in _SWEEP_MODES:
         raise ValueError(f"mode must be one of {_SWEEP_MODES}, got {mode!r}")
     a = validate_order(alpha)
     p1s = [float(v) for v in np.atleast_1d(np.asarray(p1_values, dtype=float))]
     p2s = [float(v) for v in np.atleast_1d(np.asarray(p2_values, dtype=float))]
+    stability._reject_nan(*p1s, *p2s)
     cells = len(p1s) * len(p2s)
     cap = SIMULATED_CELL_CAP if simulate else ANALYTIC_CELL_CAP
     if cells > cap:
@@ -504,18 +497,18 @@ def sweep(
         rng = np.random.default_rng((seed, i, k))
         x0 = rng.uniform(-amplitude, amplitude, int(n))
         if mode == "symmetric":
-            traj = simulate_linear(a, CirculantSpec(p1, p2, p1, n), x0, horizon, cutoff)
+            traj = simulate_linear(a, CirculantSpec(p1, p2, p1, n), x0, horizon)
         elif mode == "asymmetric":
-            traj = simulate_linear(a, CirculantSpec(-p2, p1, p2, n), x0, horizon, cutoff)
+            traj = simulate_linear(a, CirculantSpec(-p2, p1, p2, n), x0, horizon)
         else:
             f0, f1, f2 = _sweep_maps(mode, p1, p2)
-            traj = simulate_nonlinear(a, f0, f1, f2, x0, horizon, cutoff)
+            traj = simulate_nonlinear(a, f0, f1, f2, x0, horizon)
         return classify_trajectory(traj, window)
 
     grid = itertools.product(enumerate(p1s), enumerate(p2s))
     return [
         SweepCell(
-            p1, p2, stability.margin_status(m, band),
+            p1, p2, stability.margin_status(m),
             empirical_cell(i, k, p1, p2) if simulate else None, m,
         )
         for ((i, p1), (k, p2)), m in zip(grid, margins.tolist())

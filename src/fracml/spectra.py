@@ -1,14 +1,15 @@
 """Connectivity matrices of ring and torus lattices, and their spectra.
 
 Closed-form eigenvalues for circulant couplings (left / self / right
-weights on a periodic ring), the purely symmetric and purely
-antisymmetric special cases, block-circulant 2-D lattices, and a dense
-fallback through the QR solver in :mod:`fracml.eig`.
+weights on a periodic ring), block-circulant 2-D lattices, and a dense
+fallback through the QR solver in :mod:`fracml.eig`.  The symmetric
+(a0 = a2) and antisymmetric (a0 = -a2) rings are the circulant formula
+with those weights.
 
 Analytic spectra are built with exact conjugate pairing: the eigenvalue
 for mode N - l is stored as the literal complex conjugate of mode l, and
 the trigonometric factors are snapped to 0 / +-1 at quarter turns, so
-real eigenvalues carry an imaginary part of exactly 0.0.
+real eigenvalues carry an imaginary part equal to 0.0 (+0.0 or -0.0).
 """
 
 from __future__ import annotations
@@ -175,26 +176,12 @@ def circulant_eigenvalues(spec: CirculantSpec) -> Spectrum:
 
 def symmetric_eigenvalues(a1: float, a2: float, n: int) -> Spectrum:
     """Spectrum of the symmetric ring (a0 = a2): all real, a1 + 2 a2 cos."""
-    n = _positive_size(n)
-    vals = np.empty(n, dtype=complex)
-    for j in distinct_mode_indices(n):
-        v = complex(float(a1) + 2.0 * float(a2) * mode_cosine(j, n))
-        vals[j] = v
-        if 0 < j < n - j:
-            vals[n - j] = v
-    return Spectrum(vals, "analytic-circulant")
+    return circulant_eigenvalues(CirculantSpec(a2, a1, a2, n))
 
 
 def asymmetric_eigenvalues(a1: float, a2: float, n: int) -> Spectrum:
     """Spectrum of the antisymmetric ring (a0 = -a2): a1 + 2i a2 sin."""
-    n = _positive_size(n)
-    vals = np.empty(n, dtype=complex)
-    for j in distinct_mode_indices(n):
-        v = complex(float(a1), 2.0 * float(a2) * mode_sine(j, n))
-        vals[j] = v
-        if 0 < j < n - j:
-            vals[n - j] = v.conjugate()
-    return Spectrum(vals, "analytic-circulant")
+    return circulant_eigenvalues(CirculantSpec(-a2, a1, a2, n))
 
 
 def block_circulant_eigenvalues(spec: BlockCirculantSpec) -> Spectrum:
@@ -205,9 +192,9 @@ def block_circulant_eigenvalues(spec: BlockCirculantSpec) -> Spectrum:
     return Spectrum(grid.ravel().astype(complex), "analytic-block")
 
 
-def dense_eigenvalues(matrix, tol: float = 1e-9) -> Spectrum:
-    """Spectrum of an arbitrary real square matrix via the QR solver."""
-    return Spectrum(eig.eigvals(matrix, tol=tol), "numeric-dense")
+def dense_eigenvalues(matrix) -> Spectrum:
+    """Spectrum of an arbitrary real square matrix via the QR solver (tol 1e-9)."""
+    return Spectrum(eig.eigvals(matrix), "numeric-dense")
 
 
 def _as_values(spec_or_values) -> np.ndarray:

@@ -321,6 +321,12 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
     return np.where(inside, -d, d)
 
 
+def _reject_nan(*params: float) -> None:
+    """Refuse NaN coupling parameters: their margin would be NaN, which is no verdict."""
+    if any(math.isnan(p) for p in params):
+        raise ValueError("cannot classify NaN coupling parameters")
+
+
 def margin_status(margin: float, band: float = BOUNDARY_BAND) -> str:
     """Status of a signed margin: marginal within ``band`` of zero."""
     if abs(margin) < band:
@@ -385,11 +391,15 @@ class Quadrilateral:
         return worst
 
     def contains(self, a2: float, a1: float) -> bool:
-        """Strict half-plane membership, no tolerance band."""
-        lo = 1.0 - 2.0**self.alpha
-        return all(lo < a1 + 2.0 * a2 * c < 1.0 for c in self._cosines())
+        """Strict half-plane membership, no tolerance band: a negative margin.
+
+        Exact unless 1 - 2^alpha rounds to 0 (alpha < 1.6e-16), where the
+        margin of a1 + 2 a2 cos = 5e-324 rounds to -0.0 and reads outside.
+        """
+        return bool(self.signed_margin(a2, a1) < 0.0)
 
     def classify(self, a2: float, a1: float, band: float = BOUNDARY_BAND) -> Verdict:
+        _reject_nan(a2, a1)
         margin = float(self.signed_margin(a2, a1))
         return Verdict(margin_status(margin, band), margin=margin)
 
@@ -468,6 +478,7 @@ class AsymmetricRegion:
         return margin
 
     def classify(self, a1: float, a2: float, band: float = BOUNDARY_BAND) -> Verdict:
+        _reject_nan(a1, a2)
         margin = float(self.signed_margin(a1, a2))
         return Verdict(margin_status(margin, band), margin=margin)
 
@@ -497,10 +508,7 @@ def thermodynamic_region(alpha: float, mode: str) -> Quadrilateral | AsymmetricR
     """
     a = validate_order(alpha)
     if mode == "symmetric":
-        lo = 1.0 - 2.0**a
-        w = 2.0 ** (a - 2.0)
-        ymid = 1.0 - 2.0 ** (a - 1.0)
-        return Quadrilateral(a, "even", ((0.0, 1.0), (-w, ymid), (0.0, lo), (w, ymid)))
+        return Quadrilateral(a, "even", symmetric_region(a, 2).vertices)
     if mode == "asymmetric":
         return AsymmetricRegion(a, real_interval(a), yscale=2.0)
     raise ValueError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")

@@ -397,3 +397,47 @@ def test_sweep_config_validation(capsys, tmp_path):
         "p1": {"values": [0.1]}, "p2": {"values": [0.1]},
     }))
     assert run(capsys, "sweep", "--config", str(cfg))[0] == 3
+
+
+_LINEAR_RUN = {"kind": "linear", "alpha": 0.8, "n": 3, "a0": 0.1, "a1": 0.5, "a2": 0.1, "horizon": 500}
+_SWEEP = {"mode": "symmetric", "alpha": 0.6, "n": 4,
+          "p1": {"values": [0.1]}, "p2": {"min": 0.0, "max": 1.0, "count": 2}}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate", {**_LINEAR_RUN, "horizon": "INF"}),
+    ("simulate", {**_LINEAR_RUN, "n": "INF"}),
+    ("simulate", {**_LINEAR_RUN, "window": "INF"}),
+    ("simulate", {**_LINEAR_RUN, "seed": "INF"}),
+    ("simulate", {**_LINEAR_RUN, "amplitude": "NAN"}),
+    ("simulate", {**_LINEAR_RUN, "x0": [0.1, "NAN", 0.2]}),
+    ("simulate", {**_LINEAR_RUN, "a0": "NAN"}),
+    ("simulate", {**_LINEAR_RUN, "a1": "NAN"}),
+    ("simulate", {**_LINEAR_RUN, "a2": "NAN"}),
+    ("sweep", {**_SWEEP, "p2": {"values": [0.1, "NAN"]}}),
+    ("sweep", {**_SWEEP, "p2": {"min": 0.0, "max": 1.0, "count": "INF"}}),
+    ("sweep", {**_SWEEP, "n": "INF"}),
+], ids=["horizon", "n", "window", "seed", "amplitude", "x0", "a0", "a1", "a2",
+        "values", "count", "sweep-n"])
+def test_non_finite_config_numbers_are_usage_errors(capsys, tmp_path, command, cfg):
+    # JSON text reads 1e999 as inf and NaN as nan
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"INF"', "1e999").replace('"NAN"', "NaN"))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 3 and out == ""
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_infinite_cutoff_runs_to_the_last_finite_state(capsys, tmp_path):
+    # "cutoff": 1e999 means no cutoff: only overflow ends the run
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "kind": "linear", "alpha": 0.9, "n": 3, "a0": 0.0, "a1": 4.0, "a2": 0.0,
+        "x0": [1.0, 1.0, 1.0], "horizon": 2000, "cutoff": "INF",
+    }).replace('"INF"', "1e999"))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and "verdict=diverged" in err
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert all(math.isfinite(v) for v in rows[-1])
+    assert max(abs(v) for v in rows[-1]) > 1e300  # well past the default cutoff of 1e8
+    assert f"steps={len(rows) - 1}" in err

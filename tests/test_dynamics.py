@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -424,3 +425,13 @@ def test_sweep_rejects_bad_input():
         sweep("diagonal", 0.5, 4, [0.0], [0.0])
     with pytest.raises(ValueError):
         sweep("symmetric", 0.5, 4, np.zeros(101), np.zeros(101), simulate=True)
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
+@pytest.mark.parametrize("simulate", [False, True])
+def test_sweep_refuses_nan_parameters(mode, simulate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p1, p2 in (([0.1, math.nan], [0.2]), ([0.1], [0.2, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                sweep(mode, 0.5, 6, p1, p2, simulate=simulate, horizon=400)

@@ -1,6 +1,7 @@
 """Tests for boundary curves, membership tests, and coupling regions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -514,3 +515,16 @@ def test_thermodynamic_asymmetric_equals_quarter_mode_region():
 def test_thermodynamic_mode_is_validated():
     with pytest.raises(ValueError):
         thermodynamic_region(0.5, "diagonal")
+
+
+@pytest.mark.parametrize("region", [
+    symmetric_region(0.5, 4), symmetric_region(0.5, 7), thermodynamic_region(0.5, "symmetric"),
+    asymmetric_region(0.5, 8), asymmetric_region(0.5, 2), thermodynamic_region(0.5, "asymmetric"),
+], ids=["sym-4", "sym-7", "thermo-sym", "asym-8", "asym-2", "thermo-asym"])
+def test_region_classify_refuses_nan_parameters(region):
+    # a NaN margin is no verdict; raise before any geometry, so no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in ((math.nan, 0.1), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                region.classify(*params)
