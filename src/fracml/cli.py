@@ -151,12 +151,14 @@ def _cfg_num(cfg: dict, key: str, where: str, default=None, required: bool = Fal
 
 def _cfg_list(cfg: dict, key: str, where: str) -> np.ndarray:
     vals = cfg[key]
-    if not isinstance(vals, list) or not vals:
-        raise ValueError(f"{where}: {key!r} must be a non-empty list of numbers")
-    x = np.asarray([float(v) for v in vals])
-    if not np.isfinite(x).all():
-        raise ValueError(f"{where}: {key!r} must hold finite numbers")
-    return x
+    # entries are checked as _cfg_num checks a scalar: no bools, strings or null
+    if isinstance(vals, list) and vals and not any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals
+    ):
+        x = np.asarray([float(v) for v in vals])
+        if np.isfinite(x).all():
+            return x
+    raise ValueError(f"{where}: {key!r} must be a non-empty list of finite numbers")
 
 
 _MAP_PARAM_KEY = {"linear": "a", "logistic": "mu", "cubic": "delta", "circle": "delta"}
@@ -275,6 +277,7 @@ def _simulate_from_config(cfg: dict, where: str) -> tuple[dynamics.Trajectory, f
             raise ValueError(f"{where}: 'n' contradicts len(x0)")
     else:
         n = int(_cfg_num(cfg, "n", where, required=True))
+        dynamics.check_run(horizon, n, ring=kind == "linear")  # before the state is drawn
         x0 = dynamics.seeded_state(n, base, amplitude, seed, positive)
     if kind == "linear":
         spec = spectra.CirculantSpec(

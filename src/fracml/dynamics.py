@@ -7,10 +7,16 @@ two-parameter stability sweeps.
 
 Every step of a simulation depends on the entire history (the kernel
 weight depends on t - j), so a horizon-T run stores O(T * N) states.
-It does not need O(T^2 * N) time: both simulators share one loop that
-sums recent history directly and adds older history in blocks by FFT
-products (blocked online convolution, after Hairer, Lubich & Schlichte
-1985), which costs O(T log^2 T * N).  The direct sum stays in
+It does not need O(T^2 * N) time: older history is added in blocks by
+FFT products (blocked online convolution, after Hairer, Lubich &
+Schlichte 1985), which costs O(T log^2 T * N).  A linear ring is
+diagonalized by the discrete Fourier basis, so ``simulate_linear`` with
+a CirculantSpec runs each mode l as the scalar map
+y_{t+1} = y_0 + (lambda_l - 1) sum_j w[t-j] y_j and solves it a block
+of rows at a time with the block's resolvent (``_run_modes``).
+Nonlinear runs and explicit coupling matrices step through time and
+sum recent history directly (``_run``); on a ring, that loop is the
+mode-space run's test oracle.  The direct sum stays in
 ``fractional.memory_convolution``.
 """
 
@@ -47,6 +53,7 @@ __all__ = [
     "linearize_at",
     "Trajectory",
     "seeded_state",
+    "check_run",
     "simulate_linear",
     "simulate_nonlinear",
     "classify_trajectory",
@@ -61,6 +68,7 @@ DEFAULT_SEED = 42
 DEFAULT_AMPLITUDE = 0.01
 
 _NEAR = 128  # steps per block of the memory sum that is summed directly
+_MODE_BLOCK = 32  # rows per block a mode-space run solves at once
 _FFT_BLOCK = 1 << 15  # values per FFT product; keeps its temporaries small beside the history
 _DOUBLE_MAX = sys.float_info.max
 
@@ -235,29 +243,80 @@ def seeded_state(
     return base + rng.uniform(-amplitude, amplitude, int(n))
 
 
-def _check_horizon(horizon: int) -> int:
+def _mode_block(t_max: int) -> int:
+    # the largest power of two B with B^2 <= 2 (T+1): a short run's
+    # resolvent takes at most twice the memory of its modes
+    return min(_MODE_BLOCK, 1 << ((2 * t_max + 2).bit_length() - 1) // 2)
+
+
+def check_run(horizon: int, n: int, ring: bool = False) -> int:
+    """Step count of a run of ``horizon`` steps on ``n`` sites, checked.
+
+    Raises ValueError, before anything is allocated, for a horizon
+    outside 1 .. HORIZON_CAP or a run whose arrays would exceed
+    MEMORY_CAP_BYTES.  A step-loop run keeps two (T+1) x n float arrays,
+    states and drifts.  A ``ring`` run (linear, CirculantSpec coupling)
+    keeps the states, (T+1) x (n//2+1) complex modes and a B x B complex
+    block resolvent per mode.
+    """
     t = int(horizon)
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     if t > HORIZON_CAP:
         raise ValueError(f"horizon {t} exceeds the cap of {HORIZON_CAP} steps")
-    return t
-
-
-def _check_memory(t_max: int, n: int) -> None:
-    # the run keeps two (T+1) x N float arrays: states and drifts
-    need = 2 * 8 * (t_max + 1) * n
+    if ring:
+        need = 8 * (t + 1) * n + 16 * (n // 2 + 1) * (t + 1 + _mode_block(t) ** 2)
+    else:
+        need = 16 * (t + 1) * n
     if need > MEMORY_CAP_BYTES:
         raise ValueError(
-            f"a run of {t_max} steps on {n} sites needs {need / 2**20:.0f} MiB, "
+            f"a run of {t} steps on {n} sites needs {need / 2**20:.0f} MiB, "
             f"above the cap of {MEMORY_CAP_BYTES / 2**20:.0f} MiB"
         )
+    return t
 
 
 def _ring_neighbors(n: int):
     """Index arrays of the left and right neighbor of each site."""
     k = np.arange(n)
     return (k - 1) % n, (k + 1) % n
+
+
+def _add_far(w: np.ndarray, src: np.ndarray, dst: np.ndarray, lag: int, cache: dict) -> None:
+    """Add sum_i w[lag + s + L - 1 - i] * src[i] to row s of ``dst``, L = len(src).
+
+    One FFT product of size 2L per group of columns: no wrap-around
+    reaches the rows kept while len(dst) <= L.  ``cache`` maps sizes to
+    weight transforms.  Columns are independent, so a complex array goes
+    in as its real view.
+    """
+    span, rows = len(src), len(dst)
+    size = 2 * span
+    wft = cache.get(size)
+    if wft is None:
+        wft = cache[size] = np.fft.rfft(w[lag:lag + size - 1], size)[:, None]
+    cols = max(1, _FFT_BLOCK // size)  # columns per FFT product
+    for c in range(0, src.shape[1], cols):
+        prod = np.fft.rfft(src[:, c:c + cols], size, axis=0)
+        prod *= wft
+        far = np.fft.irfft(prod, size, axis=0)
+        dst[:, c:c + cols] += far[span - 1:span - 1 + rows]
+
+
+def _limit(cutoff: float) -> float:
+    # finite states above the limit end a run; a NaN or infinite cutoff
+    # leaves only non-finite states to end it
+    return float(cutoff) if cutoff < _DOUBLE_MAX else _DOUBLE_MAX
+
+
+def _cut(rows: np.ndarray, first: int, limit: float) -> int:
+    """Rows a run keeps when ``rows`` (rows ``first``.. of it) end it.
+
+    The first row that is not finite ends the run before it; a finite
+    row above ``limit`` ends it after it.
+    """
+    r = np.flatnonzero(~(np.abs(rows).max(axis=1) <= limit))[0]
+    return first + r + 1 if np.isfinite(rows[r]).all() else first + r
 
 
 def _run(alpha: float, drift, x_init: np.ndarray, t_max: int, cutoff: float) -> Trajectory:
@@ -273,36 +332,73 @@ def _run(alpha: float, drift, x_init: np.ndarray, t_max: int, cutoff: float) -> 
     O(T log^2 T * N).
     """
     w = kernel_weights(alpha, t_max + 1)
-    n = len(x_init)
-    hist = np.empty((t_max + 1, n))
+    hist = np.empty((t_max + 1, len(x_init)))
     hist[:] = x_init
     g = np.empty_like(hist)
-    weights_ft = {}  # FFT size -> transform of w[1:size]
-    # finite states above ``limit`` end the run; a NaN or infinite cutoff
-    # leaves only non-finite states to end it
-    limit = float(cutoff) if cutoff < _DOUBLE_MAX else _DOUBLE_MAX
+    cache = {}
+    limit = _limit(cutoff)
     with np.errstate(all="ignore"):
         for t in range(t_max):
             b = t - t % _NEAR
             if t == b and b:
                 span = b & -b
-                rows = min(span, t_max - b)
-                size = span + rows  # no wrap-around reaches the rows kept
-                wft = weights_ft.get(size)
-                if wft is None:
-                    wft = weights_ft[size] = np.fft.rfft(w.w[1:size], size)[:, None]
-                cols = max(1, _FFT_BLOCK // size)  # sites per FFT product
-                for c in range(0, n, cols):
-                    prod = np.fft.rfft(g[b - span:b, c:c + cols], size, axis=0)
-                    prod *= wft
-                    far = np.fft.irfft(prod, size, axis=0)
-                    hist[b + 1:b + 1 + rows, c:c + cols] += far[span - 1:span - 1 + rows]
+                _add_far(w.w, g[b - span:b], hist[b + 1:b + 1 + span], 1, cache)
             g[t] = drift(hist[t])
             x = hist[t + 1]
             x += memory_convolution(w, g[b:], t - b)
             if not np.abs(x).max() <= limit:
-                keep = t + 2 if np.isfinite(x).all() else t + 1
-                return Trajectory(hist[:keep].copy(), alpha, diverged=True)
+                return Trajectory(hist[:_cut(x[None], t + 1, limit)].copy(), alpha, diverged=True)
+    return Trajectory(hist, alpha)
+
+
+def _run_modes(alpha: float, spec: CirculantSpec, x_init: np.ndarray, t_max: int, cutoff: float):
+    """Linear ring run in circulant Fourier modes; None if the resolvent overflows.
+
+    Mode l of X_t is y_t = rfft(X_t)_l / n, and it obeys the scalar map
+    y_r = y_0 + c sum_{j<r} w[r-1-j] y_j with c = lambda_l - 1.  Rows
+    are solved a block of B at a time: inside a block the recurrence is
+    a lower-triangular Toeplitz system whose inverse has first column q
+    (q_0 = 1, q_k = c sum_{i<k} w[k-1-i] q_i), applied as a batched
+    matrix product, not an FFT, so rounding of a growing mode's late
+    entries cannot swamp its early ones.  Older rows enter by the same
+    dyadic FFT products as in _run.  Rows of ``modes`` ahead of the
+    current block hold their far-field sums.
+    """
+    n = spec.n
+    col = np.zeros(n)  # first column of A - I; for n <= 2 neighbor weights add
+    col[0] = spec.a1 - 1.0
+    col[1 % n] += spec.a0
+    col[-1 % n] += spec.a2
+    c = np.fft.rfft(col)
+    w = kernel_weights(alpha, t_max + 1)
+    size = _mode_block(t_max)
+    limit = _limit(cutoff)
+    with np.errstate(all="ignore"):
+        q = np.zeros((size, len(c)), complex)
+        q[0] = 1.0
+        for k in range(1, size):
+            q[k] = c * memory_convolution(w, q, k - 1)
+        if not np.isfinite(q).all():
+            return None  # inf * 0 would reach modes that are exactly zero
+        lag = np.subtract.outer(np.arange(size), np.arange(size))
+        res = q.T[:, np.maximum(lag, 0)] * (lag >= 0)  # (modes, size, size)
+        y0 = np.fft.rfft(x_init, norm="forward")  # |y0| <= max |X_0|
+        modes = np.zeros((t_max + 1, len(c)), complex)
+        hist = np.empty((t_max + 1, n))
+        cache = {}
+        for b in range(0, t_max + 1, size):
+            if b:
+                span = b & -b
+                _add_far(w.w, modes[b - span:b].view(float), modes[b:b + span].view(float), 0, cache)
+            e = min(b + size, t_max + 1)
+            f = y0 + c * modes[b:e]
+            y = modes[b:e] = np.matmul(res[:, :e - b, :e - b], f.T[:, :, None])[..., 0].T
+            x = hist[b:e] = np.fft.irfft(y, n, axis=1, norm="forward")
+            if not b:
+                hist[0] = x_init  # row 0 is X_0 itself and ends no run
+                x = x[1:]
+            if not np.abs(x).max() <= limit:
+                return Trajectory(hist[:_cut(x, b or 1, limit)].copy(), alpha, diverged=True)
     return Trajectory(hist, alpha)
 
 
@@ -315,13 +411,16 @@ def simulate_linear(
 ) -> Trajectory:
     """Linear lattice run X_{t+1} = X_0 + (A - I) sum_j w[t-j] X_j.
 
-    ``coupling`` is a CirculantSpec, applied as its three-term stencil,
-    or an explicit square matrix.  At alpha = 1 every weight is 1 and
-    the iteration telescopes to the classical X_{t+1} = A X_t.
+    ``coupling`` is a CirculantSpec, whose ring is solved in its Fourier
+    modes a block of rows at a time, or an explicit square matrix, which
+    takes the step loop.  A ring whose block resolvent overflows
+    (|lambda - 1| above about 4e9) takes the step loop as its
+    three-term stencil.  At alpha = 1 every weight is 1 and the
+    iteration telescopes to the classical X_{t+1} = A X_t.
     """
     a = validate_order(alpha)
-    t_max = _check_horizon(horizon)
-    if isinstance(coupling, CirculantSpec):
+    ring = isinstance(coupling, CirculantSpec)
+    if ring:
         n = coupling.n
     else:
         mat = np.asarray(coupling, dtype=float)
@@ -331,18 +430,16 @@ def simulate_linear(
     x_init = np.asarray(x0, dtype=float)
     if x_init.shape != (n,):
         raise ValueError(f"initial state shape {x_init.shape} does not match n = {n}")
-    _check_memory(t_max, n)
-    if isinstance(coupling, CirculantSpec):
-        # for n <= 2 neighbors coincide and their weights add, as in matrix()
-        stencil = np.stack([*_ring_neighbors(n), np.arange(n)])
-        coef = np.array([coupling.a0, coupling.a2, coupling.a1 - 1.0])
-
-        def drift(x):
-            return coef @ x[stencil]
-    else:
-        def drift(x):
-            return mat @ x - x
-    return _run(a, drift, x_init, t_max, cutoff)
+    t_max = check_run(horizon, n, ring)
+    if not ring:
+        return _run(a, lambda x: mat @ x - x, x_init, t_max, cutoff)
+    traj = _run_modes(a, coupling, x_init, t_max, cutoff)
+    if traj is not None:
+        return traj
+    # for n <= 2 neighbors coincide and their weights add, as in matrix()
+    stencil = np.stack([*_ring_neighbors(n), np.arange(n)])
+    coef = np.array([coupling.a0, coupling.a2, coupling.a1 - 1.0])
+    return _run(a, lambda x: coef @ x[stencil], x_init, t_max, cutoff)
 
 
 def simulate_nonlinear(
@@ -361,11 +458,10 @@ def simulate_nonlinear(
     truncates the run with the diverged flag set.
     """
     a = validate_order(alpha)
-    t_max = _check_horizon(horizon)
     x_init = np.asarray(x0, dtype=float)
     if x_init.ndim != 1 or len(x_init) < 1:
         raise ValueError("initial state must be a non-empty vector")
-    _check_memory(t_max, len(x_init))
+    t_max = check_run(horizon, len(x_init))
     left, right = _ring_neighbors(len(x_init))
 
     def drift(x):
@@ -418,6 +514,7 @@ class SweepCell:
 _SWEEP_MODES = ("symmetric", "asymmetric", "logistic-cubic", "logistic-circle")
 ANALYTIC_CELL_CAP = 1_000_000
 SIMULATED_CELL_CAP = 10_000
+SWEEP_MODE_CAP = 100_000_000  # n * cells: each cell's margin weighs every mode of its ring
 _SPECTRUM_BLOCK = 1 << 16  # eigenvalues per boundary call in a logistic-mode sweep
 
 
@@ -480,6 +577,8 @@ def sweep(
     cap = SIMULATED_CELL_CAP if simulate else ANALYTIC_CELL_CAP
     if cells > cap:
         raise ValueError(f"grid of {cells} cells exceeds the cap of {cap}")
+    if int(n) * cells > SWEEP_MODE_CAP:
+        raise ValueError(f"{cells} cells of {n} sites exceed the cap of {SWEEP_MODE_CAP} modes")
     if cells == 0:
         return []
 

@@ -150,12 +150,16 @@ def caputo_difference(alpha: float, x, n: int) -> float:
 def memory_convolution(weights: KernelWeights, history, t: int) -> np.ndarray:
     """Weighted history sum sum_{j=0}^{t} w[t-j] * X_j.
 
-    ``history`` holds the state vectors X_0 .. X_t (rows); the result is
-    one vector.  Cost is O((t+1) * N) per call.  The simulators call it
-    only for the recent steps of a block and add older history by FFT
-    products; over the whole history it is their test oracle.
+    ``history`` holds the state vectors X_0 .. X_t (rows), real or
+    complex; the result is one vector.  Cost is O((t+1) * N) per call.
+    The step loop calls it for the recent steps of a block, and a
+    linear ring run to build its block resolvent; both add older
+    history by FFT products.  Over the whole history it is their test
+    oracle.
     """
-    h = np.asarray(history, dtype=float)
+    h = np.asarray(history)
+    if not np.iscomplexobj(h):
+        h = h.astype(float, copy=False)
     k = int(t)
     if k < 0 or k >= len(h):
         raise ValueError(f"time {t!r} out of range for history of length {len(h)}")

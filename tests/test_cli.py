@@ -312,6 +312,14 @@ def test_simulate_oversized_run_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 3 and out == ""
     assert "MiB" in err
+    # too large to draw the initial state at all: refused before it is drawn
+    side = {"kind": "linear", "a": 0.1}
+    for kind, extra in (("linear", {"a0": 0.1, "a1": 0.2, "a2": 0.1}),
+                        ("nonlinear", {"f0": side, "f1": side, "f2": side})):
+        cfg.write_text(json.dumps({"kind": kind, "alpha": 0.5, "n": 1e18, "horizon": 10, **extra}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert "MiB" in err and "Traceback" not in err
 
 
 def test_trajectory_csv_matches_per_value_writer():
@@ -417,8 +425,12 @@ _SWEEP = {"mode": "symmetric", "alpha": 0.6, "n": 4,
     ("sweep", {**_SWEEP, "p2": {"values": [0.1, "NAN"]}}),
     ("sweep", {**_SWEEP, "p2": {"min": 0.0, "max": 1.0, "count": "INF"}}),
     ("sweep", {**_SWEEP, "n": "INF"}),
+    ("simulate", {**_LINEAR_RUN, "x0": [None, 0.1, 0.2]}),
+    ("simulate", {**_LINEAR_RUN, "x0": ["0.5", 0.1, 0.2]}),
+    ("simulate", {**_LINEAR_RUN, "x0": [True, 0.1, 0.2]}),
+    ("sweep", {**_SWEEP, "p1": {"values": [0.1, None]}}),
 ], ids=["horizon", "n", "window", "seed", "amplitude", "x0", "a0", "a1", "a2",
-        "values", "count", "sweep-n"])
+        "values", "count", "sweep-n", "x0-null", "x0-string", "x0-bool", "values-null"])
 def test_non_finite_config_numbers_are_usage_errors(capsys, tmp_path, command, cfg):
     # JSON text reads 1e999 as inf and NaN as nan
     path = tmp_path / "cfg.json"

@@ -273,6 +273,30 @@ def test_non_finite_run_matches_direct_sum():
     assert traj.diverged and np.all(np.isfinite(traj.states))
 
 
+def test_infinite_cutoff_linear_run_matches_direct_sum():
+    # no cutoff: every mode grows about a thousandfold a step, so the last
+    # finite row sits far enough below the overflow for both paths to agree
+    spec = CirculantSpec(0.5, 1000.0, -0.25, 3)
+    x0 = seeded_state(3, seed=4)
+    traj = simulate_linear(0.9, spec, x0, 400, cutoff=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = _direct_linear(0.9, spec.matrix(), x0, 400, cutoff=math.inf)
+    _assert_matches_oracle(traj, oracle)
+    assert traj.diverged and 90 < traj.horizon < 120
+    assert np.all(np.isfinite(traj.states))
+
+
+def test_huge_coupling_fixed_point_is_kept():
+    # modes 1 and 3 have |lambda - 1| = 2e10: their resolvent over a block
+    # of 32 rows overflows, and inf * 0 must not reach them while they
+    # are exactly 0
+    spec = CirculantSpec(-1e10, 1.0, 1e10, 4)
+    traj = simulate_linear(0.6, spec, np.ones(4), 600)
+    assert not traj.diverged and traj.horizon == 600
+    assert np.array_equal(traj.states, np.ones((601, 4)))
+    _assert_matches_oracle(traj, _direct_linear(0.6, spec.matrix(), np.ones(4), 600))
+
+
 def test_memory_cap_rejects_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the memory check")
@@ -425,6 +449,22 @@ def test_sweep_rejects_bad_input():
         sweep("diagonal", 0.5, 4, [0.0], [0.0])
     with pytest.raises(ValueError):
         sweep("symmetric", 0.5, 4, np.zeros(101), np.zeros(101), simulate=True)
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
+def test_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("margins started before the size check")
+
+    for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
+        monkeypatch.setattr(dynamics.stability, name, refuse)
+    monkeypatch.setattr(dynamics, "circulant_eigenvalues", refuse)
+    for simulate in (False, True):
+        with pytest.raises(ValueError, match="cap"):
+            sweep(mode, 0.5, 10**12, [0.1], [0.2], simulate=simulate)
+    n = dynamics.SWEEP_MODE_CAP // 10**4
+    with pytest.raises(ValueError, match="cap"):
+        sweep(mode, 0.5, n, np.zeros(100), np.zeros(101))
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])

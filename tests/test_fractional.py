@@ -1,6 +1,7 @@
 """Tests for the discrete fractional-calculus kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,3 +173,18 @@ def test_memory_convolution_validates_lengths():
         memory_convolution(w, hist, 5)  # weights too short
     with pytest.raises(ValueError):
         memory_convolution(w, np.zeros(2), 3)  # history too short
+
+
+def test_memory_convolution_keeps_complex_and_integer_histories():
+    w = kernel_weights(0.45, 8)
+    rng = np.random.default_rng(12)
+    re, im = rng.normal(size=(2, 8, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning: nothing is dropped
+        got = memory_convolution(w, re + 1j * im, 7)
+    assert np.iscomplexobj(got)
+    assert np.allclose(got.real, memory_convolution(w, re, 7), rtol=1e-14, atol=1e-15)
+    assert np.allclose(got.imag, memory_convolution(w, im, 7), rtol=1e-14, atol=1e-15)
+    ints = np.arange(24).reshape(8, 3)
+    assert np.array_equal(memory_convolution(w, ints, 5), memory_convolution(w, ints.astype(float), 5))
+    assert memory_convolution(w, [1, 2, 3], 2) == pytest.approx(w[2] + 2 * w[1] + 3 * w[0])
