@@ -12,7 +12,6 @@ so both routes can be checked against each other.
 
 from .fractional import (
     FractionalOrderError,
-    KernelWeights,
     binomial_phi,
     caputo_difference,
     fractional_sum,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -33,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
@@ -50,56 +47,57 @@ def _open_out(path: str | None):
             yield fh
 
 
+_CSV_ROWS = 256  # rows per write; bounds the Python floats alive at once
+
+
+def _write_csv(fh, header: str, line: str, rows) -> None:
+    """Write ``header``, then ``line % tuple(row)`` for each row of ``rows``.
+
+    Floats go through "%.17g", which round-trips every binary64 value.
+    """
+    fh.write(header)
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _CSV_ROWS)):
+        fh.write("".join([line % tuple(row) for row in block]))
+
+
 def write_boundary_csv(fh, curve: stability.BoundaryCurve) -> None:
-    fh.write("t,x,y\n")
-    for t, (x, y) in zip(curve.t, curve.xy):
-        fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)}\n")
+    _write_csv(fh, "t,x,y\n", "%.17g,%.17g,%.17g\n",
+               np.column_stack((curve.t, curve.xy)).tolist())
 
 
 def write_vertices_csv(fh, quad: stability.Quadrilateral) -> None:
-    fh.write("label,a2,a1\n")
-    for label, (a2, a1) in zip(("Q1", "Q2", "Q3", "Q4"), quad.vertices):
-        fh.write(f"{label},{_fmt(a2)},{_fmt(a1)}\n")
+    _write_csv(fh, "label,a2,a1\n", "%s,%.17g,%.17g\n",
+               ((label, *v) for label, v in zip(("Q1", "Q2", "Q3", "Q4"), quad.vertices)))
 
 
 def write_asymmetric_region_csv(
     fh, region: stability.AsymmetricRegion, curve: stability.BoundaryCurve | None
 ) -> None:
     """Region CSV; ``curve`` is the sampled boundary, None when n <= 2."""
-    fh.write("part,t,x,y\n")
     if curve is not None:
         ys = curve.xy[:, 1]
-        lo, hi = float(np.min(ys)), float(np.max(ys))
-        fh.write(f"line,0,{_fmt(1.0)},{_fmt(lo)}\n")
-        fh.write(f"line,1,{_fmt(1.0)},{_fmt(hi)}\n")
-        for t, (x, y) in zip(curve.t, curve.xy):
-            fh.write(f"cardioid,{_fmt(t)},{_fmt(x)},{_fmt(y)}\n")
+        rows = [("line", 0, 1.0, np.min(ys)), ("line", 1, 1.0, np.max(ys))]
+        rows += [("cardioid", *row) for row in np.column_stack((curve.t, curve.xy)).tolist()]
     else:
         # n <= 2: the region is the strip between two vertical lines
-        for name, x in (("line", region.interval.lo), ("line", region.interval.hi)):
-            fh.write(f"{name},0,{_fmt(x)},{_fmt(-1.0)}\n")
-            fh.write(f"{name},1,{_fmt(x)},{_fmt(1.0)}\n")
-
-
-_CSV_ROWS = 256  # rows per write; bounds the Python floats alive at once
+        rows = [("line", t, x, y) for x in (region.interval.lo, region.interval.hi)
+                for t, y in ((0, -1.0), (1, 1.0))]
+    _write_csv(fh, "part,t,x,y\n", "%s,%.17g,%.17g,%.17g\n", rows)
 
 
 def write_trajectory_csv(fh, traj: dynamics.Trajectory) -> None:
-    n = traj.sites
-    fh.write("t," + ",".join(f"site_{k + 1}" for k in range(n)) + "\n")
-    # one % operation per row; "%.17g" prints what _fmt prints
-    line = "%d" + ",%.17g" * n + "\n"
     states = traj.states
-    for start in range(0, len(states), _CSV_ROWS):
-        rows = states[start:start + _CSV_ROWS].tolist()
-        fh.write("".join([line % (t, *row) for t, row in enumerate(rows, start)]))
+    # rows become Python floats a block at a time
+    blocks = (states[s:s + _CSV_ROWS].tolist() for s in range(0, len(states), _CSV_ROWS))
+    _write_csv(fh, "t," + ",".join(f"site_{k + 1}" for k in range(traj.sites)) + "\n",
+               "%d" + ",%.17g" * traj.sites + "\n",
+               ((t, *row) for t, row in enumerate(itertools.chain.from_iterable(blocks))))
 
 
 def write_sweep_csv(fh, cells) -> None:
-    fh.write("p1,p2,analytic_verdict,empirical_verdict,margin\n")
-    for c in cells:
-        emp = c.empirical if c.empirical is not None else ""
-        fh.write(f"{_fmt(c.p1)},{_fmt(c.p2)},{c.analytic},{emp},{_fmt(c.margin)}\n")
+    _write_csv(fh, "p1,p2,analytic_verdict,empirical_verdict,margin\n", "%.17g,%.17g,%s,%s,%.17g\n",
+               ((c.p1, c.p2, c.analytic, c.empirical or "", c.margin) for c in cells))
 
 
 def _matrix_from_csv(path: str) -> np.ndarray:
@@ -134,6 +132,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _float(v) -> float:
+    # a JSON integer beyond the float range reads as the infinity it rounds to
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _cfg_num(cfg: dict, key: str, where: str, default=None, required: bool = False) -> float:
     if key not in cfg:
         if required:
@@ -142,7 +148,7 @@ def _cfg_num(cfg: dict, key: str, where: str, default=None, required: bool = Fal
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where}: key {key!r} must be a number, got {v!r}")
-    x = float(v)
+    x = _float(v)
     # JSON reads 1e999 as inf and accepts NaN; a cutoff of +inf means "no cutoff"
     if not (math.isfinite(x) or (key == "cutoff" and x == math.inf)):
         raise ValueError(f"{where}: key {key!r} must be finite, got {x!r}")
@@ -155,7 +161,7 @@ def _cfg_list(cfg: dict, key: str, where: str) -> np.ndarray:
     if isinstance(vals, list) and vals and not any(
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals
     ):
-        x = np.asarray([float(v) for v in vals])
+        x = np.asarray([_float(v) for v in vals])
         if np.isfinite(x).all():
             return x
     raise ValueError(f"{where}: {key!r} must be a non-empty list of finite numbers")
@@ -301,12 +307,10 @@ def cmd_simulate(args) -> int:
         if val is not None:
             cfg[key] = val
     traj, base, window = _simulate_from_config(cfg, args.config)
-    if traj.diverged:
-        verdict = dynamics.DIVERGED
-    elif traj.horizon >= 4 * window:
+    if traj.diverged or traj.horizon >= 4 * window:
         verdict = dynamics.classify_trajectory(traj, window, base)
     else:
-        verdict = dynamics.INCONCLUSIVE
+        verdict = dynamics.INCONCLUSIVE  # too short for the window rule
     amplitude = float(np.max(np.abs(traj.states[-1] - base)))
     with _open_out(args.out) as fh:
         write_trajectory_csv(fh, traj)

@@ -233,7 +233,7 @@ def seeded_state(
 
     Centered in [-amplitude, amplitude] by default; ``positive=True``
     draws from (0, amplitude] instead, for basins that only open on one
-    side.
+    side.  ``seed`` is an int or a tuple of ints, as default_rng takes.
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
@@ -342,7 +342,7 @@ def _run(alpha: float, drift, x_init: np.ndarray, t_max: int, cutoff: float) -> 
             b = t - t % _NEAR
             if t == b and b:
                 span = b & -b
-                _add_far(w.w, g[b - span:b], hist[b + 1:b + 1 + span], 1, cache)
+                _add_far(w, g[b - span:b], hist[b + 1:b + 1 + span], 1, cache)
             g[t] = drift(hist[t])
             x = hist[t + 1]
             x += memory_convolution(w, g[b:], t - b)
@@ -389,7 +389,7 @@ def _run_modes(alpha: float, spec: CirculantSpec, x_init: np.ndarray, t_max: int
         for b in range(0, t_max + 1, size):
             if b:
                 span = b & -b
-                _add_far(w.w, modes[b - span:b].view(float), modes[b:b + span].view(float), 0, cache)
+                _add_far(w, modes[b - span:b].view(float), modes[b:b + span].view(float), 0, cache)
             e = min(b + size, t_max + 1)
             f = y0 + c * modes[b:e]
             y = modes[b:e] = np.matmul(res[:, :e - b, :e - b], f.T[:, :, None])[..., 0].T
@@ -416,7 +416,10 @@ def simulate_linear(
     takes the step loop.  A ring whose block resolvent overflows
     (|lambda - 1| above about 4e9) takes the step loop as its
     three-term stencil.  At alpha = 1 every weight is 1 and the
-    iteration telescopes to the classical X_{t+1} = A X_t.
+    iteration telescopes to the classical X_{t+1} = A X_t.  With an
+    infinite cutoff a run ends at its first non-finite row; its FFT and
+    block sums can overflow near the float maximum a few rows before the
+    direct sum's would, so it may end those few rows earlier.
     """
     a = validate_order(alpha)
     ring = isinstance(coupling, CirculantSpec)
@@ -563,7 +566,8 @@ def sweep(
     at the origin equilibrium).  Analytic margins are computed for all
     cells at once, not cell by cell.  ``simulate=True`` adds the
     empirical verdict of a seeded run per cell, run one after another;
-    cell (i, k) draws its initial state from default_rng((seed, i, k)).
+    cell (i, k) draws its initial state as seeded_state(n, 0.0,
+    amplitude, (seed, i, k)), so an amplitude <= 0 raises ValueError.
     Verdicts use ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
     ``threads`` is accepted and ignored.  NaN parameters raise ValueError.
     """
@@ -593,8 +597,7 @@ def sweep(
         margins = _spectral_margins(mode, a, n, p1s, p2s)
 
     def empirical_cell(i: int, k: int, p1: float, p2: float) -> str:
-        rng = np.random.default_rng((seed, i, k))
-        x0 = rng.uniform(-amplitude, amplitude, int(n))
+        x0 = seeded_state(n, 0.0, amplitude, (seed, i, k))
         if mode == "symmetric":
             traj = simulate_linear(a, CirculantSpec(p1, p2, p1, n), x0, horizon)
         elif mode == "asymmetric":

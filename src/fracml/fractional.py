@@ -2,20 +2,17 @@
 
 Power-law memory weights, fractional sums, Caputo-type differences of
 order 0 < alpha < 1, and the history convolution that drives the lattice
-simulators.  All arithmetic is plain binary64; the weight table is built
-by a multiplicative recurrence because ratios of Gamma values overflow
-near n = 170 in double precision.
+simulators.  All arithmetic is plain binary64; the weight table is a
+read-only array built by a multiplicative recurrence because ratios of
+Gamma values overflow near n = 170 in double precision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FractionalOrderError",
-    "KernelWeights",
     "validate_order",
     "kernel_weights",
     "binomial_phi",
@@ -37,29 +34,11 @@ def validate_order(alpha: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
-class KernelWeights:
-    """Tabulated memory weights of a fractional sum.
-
-    ``w[n] = Gamma(n + alpha) / (Gamma(alpha) * Gamma(n + 1))`` for
-    n = 0 .. len(w) - 1.  Immutable and shareable across threads; the
-    backing array is marked read-only.
-    """
-
-    alpha: float
-    w: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-    def __getitem__(self, n):
-        return self.w[n]
-
-
-def kernel_weights(alpha: float, length: int) -> KernelWeights:
+def kernel_weights(alpha: float, length: int) -> np.ndarray:
     """Build the weight table w[0..length-1] for order ``alpha``.
 
-    Uses w[0] = 1 and w[n+1] = w[n] * (n + alpha) / (n + 1).  Every
+    ``w[n] = Gamma(n + alpha) / (Gamma(alpha) * Gamma(n + 1))``, computed
+    as w[0] = 1 and w[n+1] = w[n] * (n + alpha) / (n + 1).  Every
     factor is positive and at most 1 for alpha <= 1, so the cumulative
     product neither overflows nor loses positivity at any length.
 
@@ -72,7 +51,8 @@ def kernel_weights(alpha: float, length: int) -> KernelWeights:
 
     Returns
     -------
-    KernelWeights
+    numpy.ndarray
+        Read-only, so one table can be shared across threads.
     """
     a = validate_order(alpha)
     n = int(length)
@@ -84,7 +64,7 @@ def kernel_weights(alpha: float, length: int) -> KernelWeights:
         k = np.arange(n - 1, dtype=float)
         np.cumprod((k + a) / (k + 1.0), out=w[1:])
     w.flags.writeable = False
-    return KernelWeights(a, w)
+    return w
 
 
 def binomial_phi(alpha: float, n: int) -> float:
@@ -92,12 +72,12 @@ def binomial_phi(alpha: float, n: int) -> float:
 
     Defined for n >= 1; n = 0 sits on a Gamma pole.  Identical by
     construction to the shifted weight table: binomial_phi(alpha, n)
-    equals kernel_weights(alpha, n).w[n - 1].
+    equals kernel_weights(alpha, n)[n - 1].
     """
     k = int(n)
     if k < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    return float(kernel_weights(alpha, k).w[k - 1])
+    return float(kernel_weights(alpha, k)[k - 1])
 
 
 def fractional_sum(alpha: float, x, n: int) -> float:
@@ -115,47 +95,37 @@ def fractional_sum(alpha: float, x, n: int) -> float:
         Evaluation index; requires n < len(x).
     """
     xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    k = int(n)
-    if k < 0 or k >= len(xs):
-        raise ValueError(f"index {n!r} out of range for signal of length {len(xs)}")
-    w = kernel_weights(alpha, k + 1).w
-    return float(w[::-1] @ xs[: k + 1])
+    if xs.ndim != 1 or len(xs) == 0:
+        raise ValueError("signal must be a non-empty vector")
+    return float(memory_convolution(kernel_weights(alpha, len(xs)), xs, n))
 
 
 def caputo_difference(alpha: float, x, n: int) -> float:
     """Caputo-type difference of order ``alpha`` in (0, 1) at index ``n``.
 
     Composes the first forward difference with a fractional sum of order
-    1 - alpha.  Order exactly 1 is rejected here: that case is the plain
-    forward difference and needs no memory kernel.
+    1 - alpha, so index n needs x[n + 1].  Order exactly 1 is rejected
+    here: that case is the plain forward difference and needs no memory
+    kernel.
     """
     a = validate_order(alpha)
     if a == 1.0:
         raise FractionalOrderError(
             "order 1 is the plain forward difference; this operator needs alpha < 1"
         )
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    k = int(n)
-    if k < 0 or k + 1 >= len(xs):
-        raise ValueError(
-            f"index {n!r} needs x[{int(n) + 1}]; signal has length {len(xs)}"
-        )
-    return fractional_sum(1.0 - a, np.diff(xs), k)
+    return fractional_sum(1.0 - a, np.diff(np.asarray(x, dtype=float)), n)
 
 
-def memory_convolution(weights: KernelWeights, history, t: int) -> np.ndarray:
+def memory_convolution(weights: np.ndarray, history, t: int) -> np.ndarray:
     """Weighted history sum sum_{j=0}^{t} w[t-j] * X_j.
 
-    ``history`` holds the state vectors X_0 .. X_t (rows), real or
-    complex; the result is one vector.  Cost is O((t+1) * N) per call.
-    The step loop calls it for the recent steps of a block, and a
-    linear ring run to build its block resolvent; both add older
-    history by FFT products.  Over the whole history it is their test
-    oracle.
+    ``weights`` is a table from ``kernel_weights``.  ``history`` holds
+    the state vectors X_0 .. X_t (rows), or the samples of one signal,
+    real or complex.  Cost is O((t+1) * N) per call.  The step loop
+    calls it for the recent steps of a block, and a linear ring run to
+    build its block resolvent; both add older history by FFT products.
+    Over the whole history it is their test oracle, and it is the sum
+    behind ``fractional_sum``.
     """
     h = np.asarray(history)
     if not np.iscomplexobj(h):
@@ -163,8 +133,6 @@ def memory_convolution(weights: KernelWeights, history, t: int) -> np.ndarray:
     k = int(t)
     if k < 0 or k >= len(h):
         raise ValueError(f"time {t!r} out of range for history of length {len(h)}")
-    if len(weights.w) < k + 1:
-        raise ValueError(
-            f"need {k + 1} weights, only {len(weights.w)} precomputed"
-        )
-    return weights.w[k::-1] @ h[: k + 1]
+    if len(weights) < k + 1:
+        raise ValueError(f"need {k + 1} weights, only {len(weights)} precomputed")
+    return weights[k::-1] @ h[: k + 1]

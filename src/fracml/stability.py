@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import validate_order
-from .spectra import Spectrum, distinct_mode_indices, mode_cosine, mode_sine
+from .spectra import _as_values, distinct_mode_indices, mode_cosine, mode_sine
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -346,7 +346,7 @@ def classify_spectrum(spectrum, alpha: float, band: float = BOUNDARY_BAND) -> Ve
     eigenvalue wins over marginal ones.  Both follow from the worst
     (largest) margin, and its eigenvalue is the witness.
     """
-    values = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=complex)
+    values = _as_values(spectrum)
     if len(values) == 0:
         raise ValueError("cannot classify an empty spectrum")
     if np.isnan(values).any():

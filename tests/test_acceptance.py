@@ -279,7 +279,7 @@ def test_criterion_09_secondary_attractor():
 def test_criterion_10_kernel_transform_identity():
     """Kernel partial sums at z = 2 reach 2^alpha within 1e-8."""
     for alpha in (0.25, 0.5, 0.9):
-        w = kernel_weights(alpha, 200).w
+        w = kernel_weights(alpha, 200)
         k = np.arange(200, dtype=float)
         partial = float(np.sum(w * 0.5**k))
         assert abs(partial - 2.0**alpha) < 1e-8

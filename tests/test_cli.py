@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from fracml.cli import main, write_trajectory_csv
+from fracml import dynamics, stability
+from fracml.cli import _EMPIRICAL_EXIT, _STATUS_EXIT, main, write_trajectory_csv
 from fracml.dynamics import Trajectory
 from fracml.stability import symmetric_region
 
@@ -88,6 +89,15 @@ def test_usage_errors_exit_three(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 3
+
+
+def test_exit_codes_cover_every_verdict():
+    # each module's upper-case string constants are its verdict names
+    def verdicts(module):
+        return {v for k, v in vars(module).items() if k.isupper() and isinstance(v, str)}
+
+    assert set(_STATUS_EXIT) == verdicts(stability) == {"stable", "unstable", "marginal"}
+    assert set(_EMPIRICAL_EXIT) == verdicts(dynamics) == {"decaying", "growing", "diverged", "inconclusive"}
 
 
 def test_boundary_beta_csv(capsys, tmp_path):
@@ -429,10 +439,15 @@ _SWEEP = {"mode": "symmetric", "alpha": 0.6, "n": 4,
     ("simulate", {**_LINEAR_RUN, "x0": ["0.5", 0.1, 0.2]}),
     ("simulate", {**_LINEAR_RUN, "x0": [True, 0.1, 0.2]}),
     ("sweep", {**_SWEEP, "p1": {"values": [0.1, None]}}),
+    ("simulate", {**_LINEAR_RUN, "horizon": 10**400}),
+    ("simulate", {**_LINEAR_RUN, "x0": [0.1, 10**400, 0.2]}),
+    ("sweep", {**_SWEEP, "p2": {"values": [0.1, 10**400]}}),
 ], ids=["horizon", "n", "window", "seed", "amplitude", "x0", "a0", "a1", "a2",
-        "values", "count", "sweep-n", "x0-null", "x0-string", "x0-bool", "values-null"])
+        "values", "count", "sweep-n", "x0-null", "x0-string", "x0-bool", "values-null",
+        "horizon-huge-int", "x0-huge-int", "values-huge-int"])
 def test_non_finite_config_numbers_are_usage_errors(capsys, tmp_path, command, cfg):
-    # JSON text reads 1e999 as inf and NaN as nan
+    # JSON text reads 1e999 as inf and NaN as nan; 10**400 is an integer
+    # literal beyond the float range
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg).replace('"INF"', "1e999").replace('"NAN"', "NaN"))
     code, out, err = run(capsys, command, "--config", str(path))

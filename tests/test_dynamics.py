@@ -286,6 +286,22 @@ def test_infinite_cutoff_linear_run_matches_direct_sum():
     assert np.all(np.isfinite(traj.states))
 
 
+def test_infinite_cutoff_slow_growth_ends_no_later_than_direct_sum():
+    # no cutoff, growth about 1.6x a step: FFT products and block sums near
+    # the float maximum can overflow a few rows before the direct sum does,
+    # and the run then ends at its own first non-finite row
+    spec = CirculantSpec(-0.1085, 0.8384, -0.7972, 16)
+    x0 = seeded_state(16, amplitude=1.0, seed=1)
+    traj = simulate_linear(0.786, spec, x0, 2000, cutoff=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, diverged = _direct_linear(0.786, spec.matrix(), x0, 2000, cutoff=math.inf)
+    assert traj.diverged and diverged
+    assert np.all(np.isfinite(traj.states[-1]))
+    assert len(traj.states) <= len(states)
+    peak = np.max(np.abs(traj.states))
+    assert np.max(np.abs(traj.states - states[:len(traj.states)])) <= 1e-12 * peak
+
+
 def test_huge_coupling_fixed_point_is_kept():
     # modes 1 and 3 have |lambda - 1| = 2e10: their resolvent over a block
     # of 32 rows overflows, and inf * 0 must not reach them while they
@@ -449,6 +465,9 @@ def test_sweep_rejects_bad_input():
         sweep("diagonal", 0.5, 4, [0.0], [0.0])
     with pytest.raises(ValueError):
         sweep("symmetric", 0.5, 4, np.zeros(101), np.zeros(101), simulate=True)
+    for amplitude in (0.0, -0.01):
+        with pytest.raises(ValueError, match="amplitude"):
+            sweep("symmetric", 0.5, 4, [0.0], [0.0], simulate=True, amplitude=amplitude)
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])

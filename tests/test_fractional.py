@@ -38,7 +38,7 @@ def test_validate_order_rejects_out_of_range():
 
 
 def test_kernel_weights_small_cases():
-    w = kernel_weights(0.7, 4).w
+    w = kernel_weights(0.7, 4)
     # hand recurrence: 1, 0.7, 0.7*1.7/2, 0.595*2.7/3
     assert w[0] == 1.0
     assert w[1] == 0.7
@@ -47,20 +47,20 @@ def test_kernel_weights_small_cases():
 
 
 def test_kernel_weights_alpha_one_is_all_ones():
-    w = kernel_weights(1.0, 50).w
+    w = kernel_weights(1.0, 50)
     assert np.array_equal(w, np.ones(50))
 
 
 @pytest.mark.parametrize("alpha,n,expected", WEIGHT_ORACLE)
 def test_kernel_weights_match_gamma_ratio_oracle(alpha, n, expected):
-    w = kernel_weights(alpha, n + 1).w
+    w = kernel_weights(alpha, n + 1)
     assert w[n] == pytest.approx(expected, rel=1e-13)
 
 
 def test_kernel_weights_recurrence_property():
     rng = np.random.default_rng(7)
     for alpha in rng.uniform(0.01, 1.0, size=5):
-        w = kernel_weights(alpha, 10_000).w
+        w = kernel_weights(alpha, 10_000)
         n = np.arange(9_999)
         lhs = w[1:] * (n + 1.0)
         rhs = w[:-1] * (n + alpha)
@@ -69,7 +69,7 @@ def test_kernel_weights_recurrence_property():
 
 def test_kernel_weights_long_tail_is_finite_and_monotone():
     # naive Gamma ratios overflow near n ~ 170; the recurrence must not
-    w = kernel_weights(0.6, 1_000_000).w
+    w = kernel_weights(0.6, 1_000_000)
     assert np.all(np.isfinite(w))
     assert np.all(w > 0)
     assert np.all(np.diff(w[1:]) <= 0)
@@ -80,13 +80,13 @@ def test_kernel_weights_is_read_only():
     assert len(kw) == 8
     assert kw[0] == 1.0
     with pytest.raises(ValueError):
-        kw.w[0] = 2.0
+        kw[0] = 2.0
 
 
 def test_binomial_phi_matches_weight_shift():
     # phi(n) is the weight at index n-1
     for alpha in (0.25, 0.7, 1.0):
-        w = kernel_weights(alpha, 12).w
+        w = kernel_weights(alpha, 12)
         for n in range(1, 12):
             assert binomial_phi(alpha, n) == w[n - 1]
 

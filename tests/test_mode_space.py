@@ -4,6 +4,7 @@
 rows at a time.  The same coupling given as an explicit matrix takes the
 step loop, which is the oracle here: random rings, orders, initial
 states and horizons across block edges must give the same trajectory.
+At order 1 both paths must reproduce the classical iteration.
 """
 
 import numpy as np
@@ -56,3 +57,30 @@ def test_mode_space_run_matches_step_loop(n, alpha, coupling, symmetric, horizon
     assert np.array_equal(fast.states[0], x0)
     peak = np.max(np.abs(slow.states))
     assert np.max(np.abs(fast.states - slow.states)) <= 1e-12 * peak
+
+
+@PROPERTY
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    ring=st.booleans(),
+    coupling=st.tuples(*[st.floats(min_value=-1.5, max_value=1.5)] * 3),
+    horizon=st.sampled_from(HORIZONS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_order_one_is_the_classical_iteration(n, ring, coupling, horizon, seed):
+    # at alpha = 1 every weight is 1 and X_{t+1} = X_0 + (A - I) sum_j X_j
+    # telescopes to X_{t+1} = A X_t: rings take mode space, matrices the step loop
+    rng = np.random.default_rng(seed)
+    if ring:
+        spec = CirculantSpec(*coupling, n)
+        mat = spec.matrix()
+    else:
+        spec = mat = rng.normal(size=(n, n)) * (np.abs(coupling[0]) / np.sqrt(n))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    traj = simulate_linear(1.0, spec, x0, horizon)
+    classical = [x0]
+    for _ in range(traj.horizon):
+        classical.append(mat @ classical[-1])
+    assert traj.horizon == horizon or traj.diverged
+    peak = np.max(np.abs(traj.states))
+    assert np.max(np.abs(traj.states - classical)) <= 1e-12 * peak
