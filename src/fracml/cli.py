@@ -155,6 +155,16 @@ def _cfg_num(cfg: dict, key: str, where: str, default=None, required: bool = Fal
     return x
 
 
+def _cfg_int(cfg: dict, key: str, where: str, default=None, required: bool = False) -> int:
+    """An integer key: a finite number with no fractional part (3.0 reads as 3)."""
+    x = _cfg_num(cfg, key, where, default, required)
+    if key not in cfg:
+        return x
+    if not x.is_integer():
+        raise ValueError(f"{where}: key {key!r} must be a whole number, got {cfg[key]!r}")
+    return int(x)
+
+
 def _cfg_list(cfg: dict, key: str, where: str) -> np.ndarray:
     vals = cfg[key]
     # entries are checked as _cfg_num checks a scalar: no bools, strings or null
@@ -167,23 +177,17 @@ def _cfg_list(cfg: dict, key: str, where: str) -> np.ndarray:
     raise ValueError(f"{where}: {key!r} must be a non-empty list of finite numbers")
 
 
-_MAP_PARAM_KEY = {"linear": "a", "logistic": "mu", "cubic": "delta", "circle": "delta"}
-
-
 def _map_from_config(obj, where: str) -> dynamics.MapSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"{where}: map spec must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind in _MAP_PARAM_KEY:
-        return dynamics.MapSpec(kind, _cfg_num(obj, _MAP_PARAM_KEY[kind], where, required=True))
-    if kind == "scaled":
-        return dynamics.scaled_map(
-            _cfg_num(obj, "c", where, required=True),
-            _map_from_config(obj.get("of"), f"{where}.of"),
-        )
     if kind == "negated":
         return dynamics.negated_map(_map_from_config(obj.get("of"), f"{where}.of"))
-    raise ValueError(f"{where}: unknown map kind {kind!r}")
+    if not isinstance(kind, str) or kind not in dynamics.MAP_KINDS:
+        raise ValueError(f"{where}: unknown map kind {kind!r}")
+    param = _cfg_num(obj, dynamics.MAP_KINDS[kind][0], where, required=True)
+    base = _map_from_config(obj.get("of"), f"{where}.of") if kind == "scaled" else None
+    return dynamics.MapSpec(kind, param, base)
 
 
 def _axis_values(obj, where: str) -> np.ndarray:
@@ -192,9 +196,11 @@ def _axis_values(obj, where: str) -> np.ndarray:
     if isinstance(obj, dict):
         lov = _cfg_num(obj, "min", where, required=True)
         hiv = _cfg_num(obj, "max", where, required=True)
-        count = int(_cfg_num(obj, "count", where, required=True))
+        count = _cfg_int(obj, "count", where, required=True)
         if count < 1 or hiv < lov:
             raise ValueError(f"{where}: need count >= 1 and max >= min")
+        if count > dynamics.ANALYTIC_CELL_CAP:  # checked before linspace allocates the axis
+            raise ValueError(f"{where}: count {count} exceeds the cap of {dynamics.ANALYTIC_CELL_CAP}")
         return np.linspace(lov, hiv, count)
     raise ValueError(f"{where}: expected an object with values or min/max/count")
 
@@ -269,20 +275,20 @@ def _simulate_from_config(cfg: dict, where: str) -> tuple[dynamics.Trajectory, f
     if kind not in ("linear", "nonlinear"):
         raise ValueError(f"{where}: 'kind' must be 'linear' or 'nonlinear'")
     alpha = _cfg_num(cfg, "alpha", where, required=True)
-    horizon = int(_cfg_num(cfg, "horizon", where, default=2000))
-    seed = int(_cfg_num(cfg, "seed", where, default=dynamics.DEFAULT_SEED))
+    horizon = _cfg_int(cfg, "horizon", where, default=2000)
+    seed = _cfg_int(cfg, "seed", where, default=dynamics.DEFAULT_SEED)
     amplitude = _cfg_num(cfg, "amplitude", where, default=dynamics.DEFAULT_AMPLITUDE)
     base = _cfg_num(cfg, "base", where, default=0.0)
     cutoff = _cfg_num(cfg, "cutoff", where, default=dynamics.DIVERGENCE_CUTOFF)
-    window = int(_cfg_num(cfg, "window", where, default=100))
+    window = _cfg_int(cfg, "window", where, default=100)
     positive = bool(cfg.get("positive", False))
     if "x0" in cfg:
         x0 = _cfg_list(cfg, "x0", where)
         n = len(x0)
-        if "n" in cfg and int(_cfg_num(cfg, "n", where)) != n:
+        if "n" in cfg and _cfg_int(cfg, "n", where) != n:
             raise ValueError(f"{where}: 'n' contradicts len(x0)")
     else:
-        n = int(_cfg_num(cfg, "n", where, required=True))
+        n = _cfg_int(cfg, "n", where, required=True)
         dynamics.check_run(horizon, n, ring=kind == "linear")  # before the state is drawn
         x0 = dynamics.seeded_state(n, base, amplitude, seed, positive)
     if kind == "linear":
@@ -324,17 +330,17 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     where = args.config
     mode = cfg.get("mode")
+    alpha = _cfg_num(cfg, "alpha", where, required=True)
+    n = _cfg_int(cfg, "n", where, required=True)
+    p1 = _axis_values(cfg.get("p1"), f"{where}.p1")
+    p2 = _axis_values(cfg.get("p2"), f"{where}.p2")
+    # only the keys the config sets: sweep's own defaults fill the rest
+    opts = {key: _cfg_int(cfg, key, where) for key in ("horizon", "window", "seed") if key in cfg}
+    if "amplitude" in cfg:
+        opts["amplitude"] = _cfg_num(cfg, "amplitude", where)
     cells = dynamics.sweep(
-        mode if mode is not None else "",
-        _cfg_num(cfg, "alpha", where, required=True),
-        int(_cfg_num(cfg, "n", where, required=True)),
-        _axis_values(cfg.get("p1"), f"{where}.p1"),
-        _axis_values(cfg.get("p2"), f"{where}.p2"),
-        simulate=bool(cfg.get("simulate", False)) or args.simulate,
-        horizon=int(_cfg_num(cfg, "horizon", where, default=2000)),
-        window=int(_cfg_num(cfg, "window", where, default=100)),
-        seed=int(_cfg_num(cfg, "seed", where, default=dynamics.DEFAULT_SEED)),
-        amplitude=_cfg_num(cfg, "amplitude", where, default=dynamics.DEFAULT_AMPLITUDE),
+        mode if mode is not None else "", alpha, n, p1, p2,
+        simulate=bool(cfg.get("simulate", False)) or args.simulate, **opts,
     )
     with _open_out(args.out) as fh:
         write_sweep_csv(fh, cells)

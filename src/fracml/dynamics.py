@@ -40,6 +40,7 @@ __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_AMPLITUDE",
     "MapSpec",
+    "MAP_KINDS",
     "linear_map",
     "logistic_map",
     "cubic_map",
@@ -80,7 +81,7 @@ DIVERGED = "diverged"
 
 @dataclass(frozen=True)
 class MapSpec:
-    """One site map.  ``kind`` selects the formula, ``param`` its knob.
+    """One site map.  ``kind``, a key of MAP_KINDS, selects the formula, ``param`` its knob.
 
     kind      formula            param meaning
     --------  -----------------  -------------
@@ -96,11 +97,23 @@ class MapSpec:
     base: "MapSpec | None" = None
 
     def __post_init__(self):
-        if self.kind not in ("linear", "logistic", "cubic", "circle", "scaled"):
+        if not isinstance(self.kind, str) or self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.kind == "scaled" and self.base is None:
             raise ValueError(f"map kind {self.kind!r} needs a base map")
         object.__setattr__(self, "param", float(self.param))
+
+
+# kind -> (config key of its param, map f(spec, x), derivative f'(spec, x));
+# "scaled" is the one kind that wraps another map
+MAP_KINDS = {
+    "linear": ("a", lambda f, x: f.param * x, lambda f, x: f.param + 0.0 * x),
+    "logistic": ("mu", lambda f, x: f.param * x * (1.0 - x), lambda f, x: f.param * (1.0 - 2.0 * x)),
+    "cubic": ("delta", lambda f, x: 4.0 * x**3 - f.param * x, lambda f, x: 12.0 * x**2 - f.param),
+    "circle": ("delta", lambda f, x: x + f.param * np.sin(x), lambda f, x: 1.0 + f.param * np.cos(x)),
+    "scaled": ("c", lambda f, x: f.param * eval_map(f.base, x),
+               lambda f, x: f.param * eval_map_derivative(f.base, x)),
+}
 
 
 def linear_map(a: float) -> MapSpec:
@@ -129,28 +142,12 @@ def negated_map(base: MapSpec) -> MapSpec:
 
 def eval_map(f: MapSpec, x):
     """Map value at ``x`` (scalar or array)."""
-    if f.kind == "linear":
-        return f.param * x
-    if f.kind == "logistic":
-        return f.param * x * (1.0 - x)
-    if f.kind == "cubic":
-        return 4.0 * x**3 - f.param * x
-    if f.kind == "circle":
-        return x + f.param * np.sin(x)
-    return f.param * eval_map(f.base, x)
+    return MAP_KINDS[f.kind][1](f, x)
 
 
 def eval_map_derivative(f: MapSpec, x):
     """Closed-form derivative at ``x`` (scalar or array)."""
-    if f.kind == "linear":
-        return f.param + 0.0 * x
-    if f.kind == "logistic":
-        return f.param * (1.0 - 2.0 * x)
-    if f.kind == "cubic":
-        return 12.0 * x**2 - f.param
-    if f.kind == "circle":
-        return 1.0 + f.param * np.cos(x)
-    return f.param * eval_map_derivative(f.base, x)
+    return MAP_KINDS[f.kind][2](f, x)
 
 
 @dataclass(frozen=True)
@@ -274,12 +271,6 @@ def check_run(horizon: int, n: int, ring: bool = False) -> int:
             f"above the cap of {MEMORY_CAP_BYTES / 2**20:.0f} MiB"
         )
     return t
-
-
-def _ring_neighbors(n: int):
-    """Index arrays of the left and right neighbor of each site."""
-    k = np.arange(n)
-    return (k - 1) % n, (k + 1) % n
 
 
 def _add_far(w: np.ndarray, src: np.ndarray, dst: np.ndarray, lag: int, cache: dict) -> None:
@@ -414,9 +405,10 @@ def simulate_linear(
     ``coupling`` is a CirculantSpec, whose ring is solved in its Fourier
     modes a block of rows at a time, or an explicit square matrix, which
     takes the step loop.  A ring whose block resolvent overflows
-    (|lambda - 1| above about 4e9) takes the step loop as its
-    three-term stencil.  At alpha = 1 every weight is 1 and the
-    iteration telescopes to the classical X_{t+1} = A X_t.  With an
+    (|lambda - 1| above about 4e9) runs as ``simulate_nonlinear`` with
+    the linear maps a0, a1 and a2 in the step loop.  At alpha = 1 every
+    weight is 1 and the iteration telescopes to the classical
+    X_{t+1} = A X_t.  With an
     infinite cutoff a run ends at its first non-finite row; its FFT and
     block sums can overflow near the float maximum a few rows before the
     direct sum's would, so it may end those few rows earlier.
@@ -439,10 +431,8 @@ def simulate_linear(
     traj = _run_modes(a, coupling, x_init, t_max, cutoff)
     if traj is not None:
         return traj
-    # for n <= 2 neighbors coincide and their weights add, as in matrix()
-    stencil = np.stack([*_ring_neighbors(n), np.arange(n)])
-    coef = np.array([coupling.a0, coupling.a2, coupling.a1 - 1.0])
-    return _run(a, lambda x: coef @ x[stencil], x_init, t_max, cutoff)
+    maps = (linear_map(coupling.a0), linear_map(coupling.a1), linear_map(coupling.a2))
+    return simulate_nonlinear(a, *maps, x_init, t_max, cutoff)
 
 
 def simulate_nonlinear(
@@ -465,7 +455,8 @@ def simulate_nonlinear(
     if x_init.ndim != 1 or len(x_init) < 1:
         raise ValueError("initial state must be a non-empty vector")
     t_max = check_run(horizon, len(x_init))
-    left, right = _ring_neighbors(len(x_init))
+    k = np.arange(len(x_init))
+    left, right = (k - 1) % len(x_init), (k + 1) % len(x_init)
 
     def drift(x):
         return eval_map(f0, x[left]) + eval_map(f1, x) + eval_map(f2, x[right]) - x

@@ -22,6 +22,7 @@ __all__ = ["EigenvalueConvergenceError", "MAX_DENSE_N", "hessenberg", "eigvals"]
 MAX_DENSE_N = 512
 
 _EPS = np.finfo(float).eps
+_TOL = 1e-9  # relative deflation threshold; error about _TOL * norm(a) if well-conditioned
 
 
 class EigenvalueConvergenceError(RuntimeError):
@@ -132,16 +133,16 @@ def _francis_step(h: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
             blk -= 2.0 * np.outer(blk @ v, v)
 
 
-def eigvals(a, tol: float = 1e-9, iteration_cap: int | None = None) -> np.ndarray:
+def eigvals(a, iteration_cap: int | None = None) -> np.ndarray:
     """All eigenvalues of a real square matrix, unordered.
+
+    The iteration runs on the matrix times the power of two that brings
+    its largest entry into [0.5, 1): exact, and no square leaves the range.
 
     Parameters
     ----------
     a : array_like, shape (n, n)
         Real matrix with finite entries, n <= MAX_DENSE_N.
-    tol : float
-        Relative deflation threshold; accuracy is backward-error style,
-        roughly tol * norm(a) for well-conditioned eigenvalues.
     iteration_cap : int, optional
         Total QR sweep budget; defaults to 100 * n.
 
@@ -157,6 +158,14 @@ def eigvals(a, tol: float = 1e-9, iteration_cap: int | None = None) -> np.ndarra
         return np.empty(0, dtype=complex)
     if n == 1:
         return np.array([complex(h[0, 0])])
+    e = int(np.frexp(np.abs(h).max())[1])
+    out = _scaled_eigvals(np.ldexp(h, -e), iteration_cap)
+    return np.ldexp(out.view(float), e).view(complex)
+
+
+def _scaled_eigvals(h: np.ndarray, iteration_cap: int | None) -> np.ndarray:
+    """eigvals of a checked matrix of order >= 2 with entries below 1 in modulus."""
+    n = h.shape[0]
     hnorm = float(np.linalg.norm(h))
     if hnorm == 0.0:
         return np.zeros(n, dtype=complex)
@@ -176,7 +185,7 @@ def eigvals(a, tol: float = 1e-9, iteration_cap: int | None = None) -> np.ndarra
         lo = 0
         for i in range(hi, 0, -1):
             scale = abs(h[i - 1, i - 1]) + abs(h[i, i])
-            if abs(h[i, i - 1]) <= max(tol * scale, _EPS * hnorm):
+            if abs(h[i, i - 1]) <= max(_TOL * scale, _EPS * hnorm):
                 h[i, i - 1] = 0.0
                 lo = i
                 break

@@ -150,9 +150,6 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
-    def __iter__(self):
-        return iter(self.eigenvalues)
-
     def canonical(self) -> np.ndarray:
         """Eigenvalues sorted by real part, then imaginary part."""
         vals = self.eigenvalues
@@ -193,7 +190,7 @@ def block_circulant_eigenvalues(spec: BlockCirculantSpec) -> Spectrum:
 
 
 def dense_eigenvalues(matrix) -> Spectrum:
-    """Spectrum of an arbitrary real square matrix via the QR solver (tol 1e-9)."""
+    """Spectrum of an arbitrary real square matrix via the QR solver, ``eig.eigvals``."""
     return Spectrum(eig.eigvals(matrix), "numeric-dense")
 
 

@@ -18,7 +18,6 @@ inequalities, so points within a small band of the boundary report
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -112,9 +111,6 @@ class BoundaryCurve:
     def __post_init__(self):
         self.t.flags.writeable = False
         self.xy.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def real_interval(alpha: float) -> RealInterval:
@@ -221,30 +217,26 @@ def _locus(v: np.ndarray, a: float):
     return v * u, u * m, z2
 
 
-@functools.lru_cache(maxsize=64)
 def _seeds(a: float):
     """Seed parameters, uniform in v and in t, and lambda - 1 at each.
 
     The t seeds sit at half steps, so they never repeat a v seed at
-    alpha = 1, where v and t / pi coincide.  Cached per order (a region
-    classifies one point per call); the arrays are read-only.
+    alpha = 1, where v and t / pi coincide.
     """
     steps = np.arange(_SEED_STEPS + 1.0)
     v = np.sort(np.concatenate((steps / _SEED_STEPS, ((steps[:-1] + 0.5) / _SEED_STEPS) ** a)))
-    z = _locus(v, a)[0]
-    v.flags.writeable = z.flags.writeable = False
-    return v, z
+    return v, _locus(v, a)[0]
 
 
-def _nearest(p: np.ndarray, a: float, w: float) -> np.ndarray:
+def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
     """Squared distance from folded points to the curve, in the y-weighted metric.
 
     ``p`` holds lambda - 1 with Im >= 0, and the metric weighs Im by
     ``w``.  The two best local minima over the seeds are refined by
     bracketed Newton steps in v, so a point about equally far from two
-    arcs still finds the nearer one.
+    arcs still finds the nearer one.  ``seeds`` is ``_seeds(a)``.
     """
-    seeds, seed_z = _seeds(a)
+    seeds, seed_z = seeds
     last = len(seeds) - 1
     pc = p[:, None]
     rows = np.arange(len(p))[:, None]
@@ -315,8 +307,9 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
     inside = np.abs(z) < (2.0 * np.sin(0.5 * np.maximum(t, 0.0))) ** a
     flat = z.ravel()
     best = np.empty(flat.shape)
+    seeds = _seeds(a)
     for start in range(0, len(flat), _CHUNK):
-        best[start:start + _CHUNK] = _nearest(flat[start:start + _CHUNK], a, s**-2)
+        best[start:start + _CHUNK] = _nearest(flat[start:start + _CHUNK], a, s**-2, seeds)
     d = np.sqrt(best).reshape(z.shape)
     return np.where(inside, -d, d)
 

@@ -468,3 +468,121 @@ def test_infinite_cutoff_runs_to_the_last_finite_state(capsys, tmp_path):
     assert all(math.isfinite(v) for v in rows[-1])
     assert max(abs(v) for v in rows[-1]) > 1e300  # well past the default cutoff of 1e8
     assert f"steps={len(rows) - 1}" in err
+
+
+@pytest.mark.parametrize("command, key, cfg", [
+    ("simulate", "n", {**_LINEAR_RUN, "n": 3.7}),
+    ("simulate", "horizon", {**_LINEAR_RUN, "horizon": 500.9}),
+    ("simulate", "window", {**_LINEAR_RUN, "window": 2.5}),
+    ("simulate", "seed", {**_LINEAR_RUN, "seed": 7.25}),
+    ("simulate", "n", {**_LINEAR_RUN, "x0": [0.1, 0.2, 0.3], "n": 3.5}),
+    ("sweep", "n", {**_SWEEP, "n": 4.5}),
+    ("sweep", "horizon", {**_SWEEP, "horizon": 400.5}),
+    ("sweep", "window", {**_SWEEP, "window": 50.5}),
+    ("sweep", "seed", {**_SWEEP, "seed": 1.5}),
+    ("sweep", "count", {**_SWEEP, "p2": {"min": 0.0, "max": 1.0, "count": 2.7}}),
+], ids=["n", "horizon", "window", "seed", "n-with-x0",
+        "sweep-n", "sweep-horizon", "sweep-window", "sweep-seed", "count"])
+def test_fractional_integer_keys_are_usage_errors(capsys, tmp_path, command, key, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 3 and out == ""
+    assert f"key {key!r} must be a whole number" in err
+
+
+def test_whole_float_integer_keys_read_as_integers(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    outputs = []
+    for number in (int, float):
+        run_cfg = {**_LINEAR_RUN, "n": number(3), "horizon": number(500), "window": number(50),
+                   "seed": number(7)}
+        sweep_cfg = {**_SWEEP, "n": number(4), "horizon": number(400), "window": number(50),
+                     "seed": number(7), "p2": {"min": 0.0, "max": 1.0, "count": number(2)}}
+        for command, cfg, extra in (("simulate", run_cfg, ()), ("sweep", sweep_cfg, ("--simulate",))):
+            path.write_text(json.dumps(cfg))
+            code, out, err = run(capsys, command, "--config", str(path), *extra)
+            assert code in (0, 1, 2)
+            outputs.append((command, code, out, err))
+    assert outputs[:2] == outputs[2:]
+
+
+def test_oversized_axis_count_is_refused_before_allocation(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("linspace ran")
+
+    monkeypatch.setattr(np, "linspace", spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_SWEEP, "p2": {"min": 0.0, "max": 1.0, "count": 1e12}}))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 3 and out == ""
+    assert f"exceeds the cap of {dynamics.ANALYTIC_CELL_CAP}" in err
+    assert calls == []
+
+
+def test_region_thermo_asymmetric_csv(capsys, tmp_path):
+    out_file = tmp_path / "region.csv"
+    code, out, _ = run(capsys, "region", "--mode", "thermo-asymmetric", "--alpha", "0.3",
+                       "--samples", "256", "--out", str(out_file))
+    assert code == 0 and out == ""
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "part,t,x,y"
+    assert sum(1 for line in lines if line.startswith("cardioid")) == 257
+    assert sum(1 for line in lines if line.startswith("line")) == 2
+
+
+def test_simulate_scaled_maps(capsys, tmp_path):
+    # scaling by -1 is the negation, so both configs write the same run
+    circle = {"kind": "circle", "delta": -1.2}
+    base = {"kind": "nonlinear", "alpha": 0.4, "n": 5, "horizon": 400, "seed": 3,
+            "f1": {"kind": "scaled", "c": 0.5, "of": {"kind": "logistic", "mu": 2.2}}, "f2": circle}
+    path = tmp_path / "cfg.json"
+    results = []
+    for f0 in ({"kind": "scaled", "c": -1.0, "of": circle}, {"kind": "negated", "of": circle}):
+        path.write_text(json.dumps({**base, "f0": f0}))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code in (0, 1, 2) and "verdict=" in err
+        results.append((code, out, err))
+    assert results[0] == results[1]
+    assert len(results[0][1].splitlines()) == 402
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty matrix file"),
+    ("\n  \n\n", "empty matrix file"),
+    ("1.0,2.0\n3.0\n", "expected 2 columns, got 1"),
+], ids=["empty", "blank", "ragged"])
+def test_classify_bad_matrix_files(capsys, tmp_path, text, message):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    code, out, err = run(capsys, "classify", "--alpha", "0.5", "--matrix", str(p))
+    assert code == 3 and out == ""
+    assert message in err
+
+
+_NONLINEAR_RUN = {"kind": "nonlinear", "alpha": 0.5, "n": 3, "horizon": 400,
+                  "f0": {"kind": "linear", "a": 0.1}, "f1": {"kind": "linear", "a": 0.2},
+                  "f2": {"kind": "linear", "a": 0.1}}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("simulate", {k: v for k, v in _LINEAR_RUN.items() if k != "alpha"}, "missing required key 'alpha'"),
+    ("simulate", {**_LINEAR_RUN, "a1": "0.5"}, "key 'a1' must be a number"),
+    ("simulate", {**_NONLINEAR_RUN, "f1": [0.2]}, "map spec must be an object"),
+    ("simulate", {**_NONLINEAR_RUN, "f2": {"kind": "tent", "a": 0.1}}, "unknown map kind 'tent'"),
+    ("simulate", {**_NONLINEAR_RUN, "f0": {"kind": "cubic", "mu": 0.1}}, "missing required key 'delta'"),
+    ("sweep", {**_SWEEP, "p2": {"min": 0.0, "max": 1.0, "count": 0}}, "need count >= 1 and max >= min"),
+    ("sweep", {**_SWEEP, "p2": {"min": 1.0, "max": 0.0, "count": 2}}, "need count >= 1 and max >= min"),
+    ("sweep", {**_SWEEP, "p2": {}}, "missing required key 'min'"),
+    ("sweep", {k: v for k, v in _SWEEP.items() if k != "p2"}, "expected an object with values or min/max/count"),
+], ids=["missing-key", "not-a-number", "map-not-object", "unknown-map-kind", "map-param-key",
+        "count-zero", "max-below-min", "axis-empty", "axis-missing"])
+def test_config_errors_name_their_cause(capsys, tmp_path, command, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 3 and out == ""
+    assert message in err and "Traceback" not in err

@@ -111,3 +111,18 @@ def test_iteration_cap_raises():
 
 def test_zero_matrix():
     assert np.array_equal(eigvals(np.zeros((6, 6))), np.zeros(6, dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-165, 1e-175, 1e-185, 1e-200, 1e150, 1e160])
+def test_extreme_scales_match_numpy(scale):
+    # squared entries of such matrices leave the float range
+    a = np.random.default_rng(6).normal(size=(6, 6)) * scale
+    ref = np.linalg.eigvals(a)
+    assert multiset_distance(eigvals(a), ref) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_power_of_two_scaling_is_exact(k):
+    a = np.random.default_rng(29).normal(size=(9, 9))
+    want = np.ldexp(eigvals(a).view(float), k)
+    assert eigvals(2.0**k * a).view(float).tobytes() == want.tobytes()
