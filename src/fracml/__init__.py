@@ -21,13 +21,13 @@ from .fractional import (
 )
 from .spectra import (
     BlockCirculantSpec,
+    Circulant,
     CirculantSpec,
     Spectrum,
     asymmetric_eigenvalues,
     block_circulant_eigenvalues,
     circulant_eigenvalues,
     dense_eigenvalues,
-    multiset_distance,
     symmetric_eigenvalues,
 )
 from .stability import (

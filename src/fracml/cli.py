@@ -165,6 +165,13 @@ def _cfg_int(cfg: dict, key: str, where: str, default=None, required: bool = Fal
     return int(x)
 
 
+def _cfg_bool(cfg: dict, key: str, where: str) -> bool:
+    v = cfg.get(key, False)
+    if not isinstance(v, bool):
+        raise ValueError(f"{where}: key {key!r} must be true or false, got {v!r}")
+    return v
+
+
 def _cfg_list(cfg: dict, key: str, where: str) -> np.ndarray:
     vals = cfg[key]
     # entries are checked as _cfg_num checks a scalar: no bools, strings or null
@@ -214,9 +221,7 @@ def cmd_classify(args) -> int:
         spec = spectra.asymmetric_eigenvalues(args.a1, args.a2, args.n)
     else:
         _require_args(args, "n", "a0", "a1", "a2")
-        spec = spectra.circulant_eigenvalues(
-            spectra.CirculantSpec(args.a0, args.a1, args.a2, args.n)
-        )
+        spec = spectra.circulant_eigenvalues(spectra.CirculantSpec(args.a0, args.a1, args.a2, args.n))
     values = spec.canonical()
     for lam, margin in zip(values, stability.curve_margin(values, args.alpha).tolist()):
         print(f"{_fmt_complex(lam)}  {stability.margin_status(margin, band)}  margin={margin:.6g}")
@@ -281,7 +286,7 @@ def _simulate_from_config(cfg: dict, where: str) -> tuple[dynamics.Trajectory, f
     base = _cfg_num(cfg, "base", where, default=0.0)
     cutoff = _cfg_num(cfg, "cutoff", where, default=dynamics.DIVERGENCE_CUTOFF)
     window = _cfg_int(cfg, "window", where, default=100)
-    positive = bool(cfg.get("positive", False))
+    positive = _cfg_bool(cfg, "positive", where)
     if "x0" in cfg:
         x0 = _cfg_list(cfg, "x0", where)
         n = len(x0)
@@ -289,7 +294,7 @@ def _simulate_from_config(cfg: dict, where: str) -> tuple[dynamics.Trajectory, f
             raise ValueError(f"{where}: 'n' contradicts len(x0)")
     else:
         n = _cfg_int(cfg, "n", where, required=True)
-        dynamics.check_run(horizon, n, ring=kind == "linear")  # before the state is drawn
+        dynamics.check_run(horizon, (n,), modes=kind == "linear")  # before the state is drawn
         x0 = dynamics.seeded_state(n, base, amplitude, seed, positive)
     if kind == "linear":
         spec = spectra.CirculantSpec(
@@ -340,7 +345,7 @@ def cmd_sweep(args) -> int:
         opts["amplitude"] = _cfg_num(cfg, "amplitude", where)
     cells = dynamics.sweep(
         mode if mode is not None else "", alpha, n, p1, p2,
-        simulate=bool(cfg.get("simulate", False)) or args.simulate, **opts,
+        simulate=_cfg_bool(cfg, "simulate", where) or args.simulate, **opts,
     )
     with _open_out(args.out) as fh:
         write_sweep_csv(fh, cells)

@@ -9,14 +9,15 @@ Every step of a simulation depends on the entire history (the kernel
 weight depends on t - j), so a horizon-T run stores O(T * N) states.
 It does not need O(T^2 * N) time: older history is added in blocks by
 FFT products (blocked online convolution, after Hairer, Lubich &
-Schlichte 1985), which costs O(T log^2 T * N).  A linear ring is
-diagonalized by the discrete Fourier basis, so ``simulate_linear`` with
-a CirculantSpec runs each mode l as the scalar map
+Schlichte 1985), which costs O(T log^2 T * N).  A circulant coupling
+(``spectra.Circulant``: a ring, a torus) is diagonalized by the discrete
+Fourier basis, so ``simulate_linear`` runs each of its modes l as the
+scalar map
 y_{t+1} = y_0 + (lambda_l - 1) sum_j w[t-j] y_j and solves it a block
 of rows at a time with the block's resolvent (``_run_modes``).
 Nonlinear runs and explicit coupling matrices step through time and
-sum recent history directly (``_run``); on a ring, that loop is the
-mode-space run's test oracle.  The direct sum stays in
+sum recent history directly (``_run``); on a circulant coupling, that
+loop is the mode-space run's test oracle.  The direct sum stays in
 ``fractional.memory_convolution``.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import stability
 from .fractional import kernel_weights, memory_convolution, validate_order
-from .spectra import CirculantSpec, circulant_eigenvalues
+from .spectra import Circulant, CirculantSpec, circulant_eigenvalues
 
 __all__ = [
     "HORIZON_CAP",
@@ -246,23 +247,24 @@ def _mode_block(t_max: int) -> int:
     return min(_MODE_BLOCK, 1 << ((2 * t_max + 2).bit_length() - 1) // 2)
 
 
-def check_run(horizon: int, n: int, ring: bool = False) -> int:
-    """Step count of a run of ``horizon`` steps on ``n`` sites, checked.
+def check_run(horizon: int, shape: tuple, modes: bool = False) -> int:
+    """Step count of a run of ``horizon`` steps on a lattice of ``shape``, checked.
 
     Raises ValueError, before anything is allocated, for a horizon
     outside 1 .. HORIZON_CAP or a run whose arrays would exceed
-    MEMORY_CAP_BYTES.  A step-loop run keeps two (T+1) x n float arrays,
-    states and drifts.  A ``ring`` run (linear, CirculantSpec coupling)
-    keeps the states, (T+1) x (n//2+1) complex modes and a B x B complex
-    block resolvent per mode.
+    MEMORY_CAP_BYTES.  A step-loop run keeps two (T+1) x N float arrays,
+    states and drifts.  A ``modes`` run (linear, Circulant coupling) keeps
+    the states, (T+1) x M complex modes (M counts a real FFT's modes over
+    the shape) and a B x B complex block resolvent per mode.
     """
     t = int(horizon)
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     if t > HORIZON_CAP:
         raise ValueError(f"horizon {t} exceeds the cap of {HORIZON_CAP} steps")
-    if ring:
-        need = 8 * (t + 1) * n + 16 * (n // 2 + 1) * (t + 1 + _mode_block(t) ** 2)
+    n = math.prod(shape)
+    if modes:
+        need = 8 * (t + 1) * n + 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1) * (t + 1 + _mode_block(t) ** 2)
     else:
         need = 16 * (t + 1) * n
     if need > MEMORY_CAP_BYTES:
@@ -342,10 +344,12 @@ def _run(alpha: float, drift, x_init: np.ndarray, t_max: int, cutoff: float) -> 
     return Trajectory(hist, alpha)
 
 
-def _run_modes(alpha: float, spec: CirculantSpec, x_init: np.ndarray, t_max: int, cutoff: float):
-    """Linear ring run in circulant Fourier modes; None if the resolvent overflows.
+def _run_modes(alpha: float, col: np.ndarray, x_init: np.ndarray, t_max: int, cutoff: float):
+    """Linear circulant run in Fourier modes; None if the resolvent overflows.
 
-    Mode l of X_t is y_t = rfft(X_t)_l / n, and it obeys the scalar map
+    ``col`` is the first column of A - I, shaped like the lattice;
+    ``x_init`` holds its sites in C order.  Mode l of X_t is
+    y_t = rfftn(X_t)_l / N, and it obeys
     y_r = y_0 + c sum_{j<r} w[r-1-j] y_j with c = lambda_l - 1.  Rows
     are solved a block of B at a time: inside a block the recurrence is
     a lower-triangular Toeplitz system whose inverse has first column q
@@ -355,12 +359,8 @@ def _run_modes(alpha: float, spec: CirculantSpec, x_init: np.ndarray, t_max: int
     dyadic FFT products as in _run.  Rows of ``modes`` ahead of the
     current block hold their far-field sums.
     """
-    n = spec.n
-    col = np.zeros(n)  # first column of A - I; for n <= 2 neighbor weights add
-    col[0] = spec.a1 - 1.0
-    col[1 % n] += spec.a0
-    col[-1 % n] += spec.a2
-    c = np.fft.rfft(col)
+    c = np.fft.rfftn(col)
+    modes_shape, c = c.shape, c.ravel()
     w = kernel_weights(alpha, t_max + 1)
     size = _mode_block(t_max)
     limit = _limit(cutoff)
@@ -373,10 +373,11 @@ def _run_modes(alpha: float, spec: CirculantSpec, x_init: np.ndarray, t_max: int
             return None  # inf * 0 would reach modes that are exactly zero
         lag = np.subtract.outer(np.arange(size), np.arange(size))
         res = q.T[:, np.maximum(lag, 0)] * (lag >= 0)  # (modes, size, size)
-        y0 = np.fft.rfft(x_init, norm="forward")  # |y0| <= max |X_0|
+        x_init = x_init.reshape(col.shape)
+        y0 = np.fft.rfftn(x_init, norm="forward").ravel()  # |y0| <= max |X_0|
         modes = np.zeros((t_max + 1, len(c)), complex)
-        hist = np.empty((t_max + 1, n))
-        cache = {}
+        hist = np.empty((t_max + 1,) + col.shape)
+        cache, last, axes = {}, col.shape[-1], range(1, col.ndim)
         for b in range(0, t_max + 1, size):
             if b:
                 span = b & -b
@@ -384,13 +385,16 @@ def _run_modes(alpha: float, spec: CirculantSpec, x_init: np.ndarray, t_max: int
             e = min(b + size, t_max + 1)
             f = y0 + c * modes[b:e]
             y = modes[b:e] = np.matmul(res[:, :e - b, :e - b], f.T[:, :, None])[..., 0].T
-            x = hist[b:e] = np.fft.irfft(y, n, axis=1, norm="forward")
+            for axis in axes:  # irfftn axis by axis: a ring makes one irfft call
+                y = np.fft.ifft(y.reshape((e - b,) + modes_shape), axis=axis, norm="forward")
+            x = hist[b:e] = np.fft.irfft(y, last, axis=-1, norm="forward")
             if not b:
                 hist[0] = x_init  # row 0 is X_0 itself and ends no run
                 x = x[1:]
             if not np.abs(x).max() <= limit:
-                return Trajectory(hist[:_cut(x, b or 1, limit)].copy(), alpha, diverged=True)
-    return Trajectory(hist, alpha)
+                cut = _cut(x.reshape(len(x), -1), b or 1, limit)
+                return Trajectory(hist[:cut].reshape(cut, -1).copy(), alpha, diverged=True)
+    return Trajectory(hist.reshape(t_max + 1, -1), alpha)
 
 
 def simulate_linear(
@@ -402,37 +406,40 @@ def simulate_linear(
 ) -> Trajectory:
     """Linear lattice run X_{t+1} = X_0 + (A - I) sum_j w[t-j] X_j.
 
-    ``coupling`` is a CirculantSpec, whose ring is solved in its Fourier
-    modes a block of rows at a time, or an explicit square matrix, which
-    takes the step loop.  A ring whose block resolvent overflows
-    (|lambda - 1| above about 4e9) runs as ``simulate_nonlinear`` with
-    the linear maps a0, a1 and a2 in the step loop.  At alpha = 1 every
-    weight is 1 and the iteration telescopes to the classical
-    X_{t+1} = A X_t.  With an
-    infinite cutoff a run ends at its first non-finite row; its FFT and
-    block sums can overflow near the float maximum a few rows before the
-    direct sum's would, so it may end those few rows earlier.
+    ``coupling`` is a ``spectra.Circulant`` (ring, torus or any shape;
+    ``x0`` in C order), solved in its Fourier modes a block of rows at a
+    time, or an explicit square matrix, which takes the step loop.  A
+    circulant run whose block resolvent overflows (|lambda - 1| above
+    about 4e9) takes the step loop with its stencil as the drift.  At
+    alpha = 1 every weight is 1 and the iteration telescopes to the
+    classical X_{t+1} = A X_t.  With an infinite cutoff a run ends at its
+    first non-finite row; its FFT and block sums can overflow near the
+    float maximum a few rows before the direct sum's would, so it may end
+    those few rows earlier.
     """
     a = validate_order(alpha)
-    ring = isinstance(coupling, CirculantSpec)
-    if ring:
-        n = coupling.n
+    modes = isinstance(coupling, Circulant)
+    if modes:
+        shape = coupling.shape
     else:
         mat = np.asarray(coupling, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {mat.shape}")
-        n = mat.shape[0]
+        shape = mat.shape[:1]
+    n = math.prod(shape)
     x_init = np.asarray(x0, dtype=float)
     if x_init.shape != (n,):
         raise ValueError(f"initial state shape {x_init.shape} does not match n = {n}")
-    t_max = check_run(horizon, n, ring)
-    if not ring:
+    t_max = check_run(horizon, shape, modes)
+    if not modes:
         return _run(a, lambda x: mat @ x - x, x_init, t_max, cutoff)
-    traj = _run_modes(a, coupling, x_init, t_max, cutoff)
+    traj = _run_modes(a, coupling.first_column(-1.0), x_init, t_max, cutoff)
     if traj is not None:
         return traj
-    maps = (linear_map(coupling.a0), linear_map(coupling.a1), linear_map(coupling.a2))
-    return simulate_nonlinear(a, *maps, x_init, t_max, cutoff)
+    # the step loop, G(X) = (A - I) X as the stencil's sum of shifted copies of X: no dense matrix
+    sites, axes = np.arange(n).reshape(shape), tuple(range(len(shape)))
+    terms = [(c, np.roll(sites, [-v for v in k], axes).ravel()) for k, c in coupling.stencil.items()]
+    return _run(a, lambda x: sum(c * x[nb] for c, nb in terms) - x, x_init, t_max, cutoff)
 
 
 def simulate_nonlinear(
@@ -454,7 +461,7 @@ def simulate_nonlinear(
     x_init = np.asarray(x0, dtype=float)
     if x_init.ndim != 1 or len(x_init) < 1:
         raise ValueError("initial state must be a non-empty vector")
-    t_max = check_run(horizon, len(x_init))
+    t_max = check_run(horizon, x_init.shape)
     k = np.arange(len(x_init))
     left, right = (k - 1) % len(x_init), (k + 1) % len(x_init)
 
@@ -527,7 +534,7 @@ def _spectral_margins(mode: str, alpha: float, n: int, p1s, p2s) -> np.ndarray:
     eigenvalues, which bounds the memory of large grids.
     """
     specs = [CirculantSpec(*linearize_at(*_sweep_maps(mode, p1, p2), 0.0), n) for p1 in p1s for p2 in p2s]
-    n = specs[0].n
+    n = specs[0].shape[0]
     rows = max(1, _SPECTRUM_BLOCK // n)
     blocks = (
         np.concatenate([circulant_eigenvalues(spec).eigenvalues for spec in specs[i:i + rows]])

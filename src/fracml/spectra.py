@@ -1,27 +1,30 @@
-"""Connectivity matrices of ring and torus lattices, and their spectra.
+"""Circulant couplings of rings and tori, and their spectra.
 
-Closed-form eigenvalues for circulant couplings (left / self / right
-weights on a periodic ring), block-circulant 2-D lattices, and a dense
-fallback through the QR solver in :mod:`fracml.eig`.  The symmetric
-(a0 = a2) and antisymmetric (a0 = -a2) rings are the circulant formula
-with those weights.
-
-Analytic spectra are built with exact conjugate pairing: the eigenvalue
-for mode N - l is stored as the literal complex conjugate of mode l, and
-the trigonometric factors are snapped to 0 / +-1 at quarter turns, so
-real eigenvalues carry an imaginary part equal to 0.0 (+0.0 or -0.0).
+A ``Circulant`` couples a periodic lattice of shape (n,) or (n, m, ...)
+through a stencil of axis-aligned offsets.  The stencil alone gives the
+matrix, the closed-form spectrum and the mode-space runs of
+:mod:`fracml.dynamics`.  ``CirculantSpec`` builds the three-term ring,
+``BlockCirculantSpec`` the nearest-neighbor torus.  Other matrices take
+the QR solver in :mod:`fracml.eig`.  Closed-form spectra pair exactly in
+every dimension: mode -l holds the exact conjugate of mode l, and the
+trigonometric factors are snapped to 0 / +-1 at quarter turns, so real
+eigenvalues carry an imaginary part equal to 0.0 (+0.0 or -0.0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from . import eig
 
 __all__ = [
+    "Circulant",
     "CirculantSpec",
     "BlockCirculantSpec",
     "Spectrum",
@@ -33,7 +36,6 @@ __all__ = [
     "asymmetric_eigenvalues",
     "block_circulant_eigenvalues",
     "dense_eigenvalues",
-    "multiset_distance",
 ]
 
 
@@ -66,77 +68,82 @@ def distinct_mode_indices(n: int) -> range:
     return range(n // 2 + 1)
 
 
-def _positive_size(n, name: str = "n") -> int:
-    k = int(n)
-    if k < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
-    return k
-
-
 @dataclass(frozen=True)
-class CirculantSpec:
+class Circulant:
+    """Translation-invariant coupling on a periodic lattice, sites in C order.
+
+    ``shape`` is (n,) or (n, m, ...).  ``stencil`` maps integer offsets k
+    (plain ints on a 1-D shape) to weights: A[x, x + k] = c_k.  An offset
+    with two non-zero components raises ValueError.  Offsets that land on
+    one site (+-1 when n = 2) add, in stencil order.
+    """
+
+    shape: tuple
+    stencil: MappingProxyType = field(hash=False)
+
+    def __post_init__(self):
+        shape = tuple(map(int, self.shape))
+        if not shape or min(shape) < 1:
+            raise ValueError(f"lattice sides must be positive integers, got {self.shape!r}")
+        stencil = {}
+        for k, c in self.stencil.items():
+            k = tuple(map(operator.index, k)) if isinstance(k, tuple) else (operator.index(k),)
+            if len(k) != len(shape) or len(k) - k.count(0) > 1:
+                raise ValueError(f"offset {k} needs {len(shape)} components, at most one non-zero")
+            stencil[k] = float(c)
+        pairs = []  # the closed form's (axis, k, (c_k + c_-k, c_k - c_-k)) per pair, k > 0
+        for off, c in stencil.items():
+            k = sum(off)  # the non-zero component
+            back = stencil.get(tuple(map(operator.neg, off))) if k else None
+            if k > 0:
+                pairs.append((off.index(k), k, np.array((c, c) if back is None else (c + back, c - back))))
+            elif k < 0 and back is None:  # else counted with -k
+                pairs.append((off.index(k), -k, np.array((c, -c))))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "stencil", MappingProxyType(stencil))
+        # (c_0, -0.0), over the whole lattice if no pair spans it; -0.0 keeps the first sine term's sign
+        base = np.array((stencil.get((0,) * len(shape), 0.0), -0.0))
+        if len({axis for axis, _, _ in pairs}) < len(shape):
+            base = np.broadcast_to(base, shape + (2,)).copy()
+        object.__setattr__(self, "_terms", (base, pairs))
+
+    def first_column(self, diagonal: float = 0.0) -> np.ndarray:
+        """Column 0 of A + diagonal * I, shaped like the lattice: entry -k adds c_k."""
+        col = np.zeros(self.shape)
+        col.flat[0] = diagonal
+        for k, c in self.stencil.items():
+            col[tuple(-v % n for v, n in zip(k, self.shape))] += c
+        return col
+
+    def matrix(self) -> np.ndarray:
+        """Dense coupling matrix, A[x, y] = first_column()[x - y] (mod the shape)."""
+        flat = 0
+        for i, n in zip(np.indices(self.shape).reshape(len(self.shape), -1), self.shape):
+            flat = flat * n + np.subtract.outer(i, i) % n
+        return self.first_column().ravel()[flat]
+
+
+def CirculantSpec(a0: float, a1: float, a2: float, n: int) -> Circulant:
     """Ring coupling: a0 to the left neighbor, a1 self, a2 to the right.
 
     Periodic boundaries.  For n = 1 all three weights land on the single
     diagonal entry; for n = 2 left and right neighbor coincide, so the
     off-diagonal entry is a0 + a2.
     """
-
-    a0: float
-    a1: float
-    a2: float
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _positive_size(self.n))
-        for name in ("a0", "a1", "a2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    def matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            a[i, i] += self.a1
-            a[i, (i + 1) % self.n] += self.a2
-            a[i, (i - 1) % self.n] += self.a0
-        return a
+    return Circulant((n,), {0: a1, -1: a0, 1: a2})
 
 
-@dataclass(frozen=True)
-class BlockCirculantSpec:
+def BlockCirculantSpec(a0: float, a1: float, a2: float, n: int, m: int) -> Circulant:
     """2-D torus coupling: a0 along the first axis, a2 along the second."""
-
-    a0: float
-    a1: float
-    a2: float
-    n: int
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _positive_size(self.n, "n"))
-        object.__setattr__(self, "m", _positive_size(self.m, "m"))
-        for name in ("a0", "a1", "a2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    def matrix(self) -> np.ndarray:
-        n, m = self.n, self.m
-        a = np.zeros((n * m, n * m))
-        for p in range(n):
-            for q in range(m):
-                i = p * m + q
-                a[i, i] += self.a1
-                a[i, ((p + 1) % n) * m + q] += self.a0
-                a[i, ((p - 1) % n) * m + q] += self.a0
-                a[i, p * m + (q + 1) % m] += self.a2
-                a[i, p * m + (q - 1) % m] += self.a2
-        return a
+    return Circulant((n, m), {(0, 0): a1, (1, 0): a0, (-1, 0): a0, (0, 1): a2, (0, -1): a2})
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Multiset of eigenvalues with a tag recording how it was obtained.
 
-    ``source`` is one of ``analytic-circulant``, ``analytic-block`` or
-    ``numeric-dense``.
+    ``source`` is one of ``analytic-circulant`` (a ring), ``analytic-block``
+    (two or more axes) or ``numeric-dense``.
     """
 
     eigenvalues: np.ndarray
@@ -157,18 +164,31 @@ class Spectrum:
         return vals[order]
 
 
-def circulant_eigenvalues(spec: CirculantSpec) -> Spectrum:
-    """Eigenvalues a1 + a2 * w^l + a0 * w^(-l), w = exp(2i pi / n)."""
-    n = spec.n
-    vals = np.empty(n, dtype=complex)
-    for l in range(n // 2 + 1):
-        c = mode_cosine(l, n)
-        s = mode_sine(l, n)
-        v = complex(spec.a1 + (spec.a2 + spec.a0) * c, (spec.a2 - spec.a0) * s)
-        vals[l] = v
-        if 0 < l < n - l:
-            vals[n - l] = v.conjugate()
-    return Spectrum(vals, "analytic-circulant")
+@functools.lru_cache(maxsize=16)
+def _trig_table(n: int) -> np.ndarray:
+    """Read-only rows (cos, sin) of 2 pi l / n, l < n; row n - l is row l with its sine negated."""
+    table, half, m = np.empty((n, 2)), range(n // 2 + 1), (n - 1) // 2  # a size numpy refuses fails here
+    cos, sin = [mode_cosine(l, n) for l in half], [mode_sine(l, n) for l in half]
+    table[:] = np.array([cos + cos[m:0:-1], sin + [-s for s in sin[m:0:-1]]]).T
+    table.flags.writeable = False
+    return table
+
+
+@np.errstate(over="ignore", invalid="ignore")  # huge weights give inf and NaN, as floats do
+def circulant_eigenvalues(spec: Circulant) -> Spectrum:
+    """Closed-form spectrum, mode l in C order, a the axis of the pair (k, -k):
+
+    lambda_l = c_0 + sum over pairs of (c_k + c_-k) cos(2 pi k l_a / n_a) + i (c_k - c_-k) sin(...).
+    """
+    shape = spec.shape
+    vals, pairs = spec._terms  # vals: (re, im)
+    for axis, k, pq in pairs:
+        n = shape[axis]
+        table = _trig_table(n) if k % n == 1 else _trig_table(n)[k * np.arange(n) % n]
+        if len(shape) > 1:
+            table = table.reshape(tuple(n if a == axis else 1 for a in range(len(shape))) + (2,))
+        vals = vals + table * pq
+    return Spectrum(vals.view(complex).ravel(), "analytic-circulant" if len(shape) == 1 else "analytic-block")
 
 
 def symmetric_eigenvalues(a1: float, a2: float, n: int) -> Spectrum:
@@ -181,46 +201,9 @@ def asymmetric_eigenvalues(a1: float, a2: float, n: int) -> Spectrum:
     return circulant_eigenvalues(CirculantSpec(-a2, a1, a2, n))
 
 
-def block_circulant_eigenvalues(spec: BlockCirculantSpec) -> Spectrum:
-    """All n*m eigenvalues a1 + 2 a0 cos(2 pi k1/n) + 2 a2 cos(2 pi k2/m)."""
-    c1 = np.array([mode_cosine(k, spec.n) for k in range(spec.n)])
-    c2 = np.array([mode_cosine(k, spec.m) for k in range(spec.m)])
-    grid = spec.a1 + 2.0 * spec.a0 * c1[:, None] + 2.0 * spec.a2 * c2[None, :]
-    return Spectrum(grid.ravel().astype(complex), "analytic-block")
+block_circulant_eigenvalues = circulant_eigenvalues  # a torus is a Circulant of two axes
 
 
 def dense_eigenvalues(matrix) -> Spectrum:
     """Spectrum of an arbitrary real square matrix via the QR solver, ``eig.eigvals``."""
     return Spectrum(eig.eigvals(matrix), "numeric-dense")
-
-
-def _as_values(spec_or_values) -> np.ndarray:
-    if isinstance(spec_or_values, Spectrum):
-        return spec_or_values.eigenvalues
-    return np.asarray(spec_or_values, dtype=complex)
-
-
-def multiset_distance(a, b) -> float:
-    """Greedy nearest-pair matching distance between two eigenvalue multisets.
-
-    Both sides are put in canonical (re, im) lexicographic order; each
-    value of ``a`` in turn grabs the nearest unmatched value of ``b``
-    (ties resolved toward the lexicographically smaller candidate).
-    Returns the largest matched pair distance.  Reproducible, symmetric
-    enough for test tolerances; not an optimal assignment.
-    """
-    va = _as_values(a)
-    vb = _as_values(b)
-    if len(va) != len(vb):
-        raise ValueError(f"multiset sizes differ: {len(va)} vs {len(vb)}")
-    if len(va) == 0:
-        return 0.0
-    va = va[np.lexsort((va.imag, va.real))]
-    vb = list(vb[np.lexsort((vb.imag, vb.real))])
-    worst = 0.0
-    for v in va:
-        dists = [abs(v - u) for u in vb]
-        i = int(np.argmin(dists))
-        worst = max(worst, dists[i])
-        vb.pop(i)
-    return float(worst)

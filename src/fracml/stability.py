@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import validate_order
-from .spectra import _as_values, distinct_mode_indices, mode_cosine, mode_sine
+from .spectra import distinct_mode_indices, mode_cosine, mode_sine
 
 __all__ = [
     "DEFAULT_SAMPLES",
+    "SAMPLES_CAP",
     "BOUNDARY_BAND",
     "BoundaryCurve",
     "RealInterval",
@@ -50,6 +51,7 @@ __all__ = [
 
 # resolution of exported boundary curves; no verdict samples the curve
 DEFAULT_SAMPLES = 8192
+SAMPLES_CAP = 1_000_000  # a curve and its CSV rows stay within a few hundred MB
 # absolute half-width of the "too close to call" band around any boundary
 BOUNDARY_BAND = 1e-7
 
@@ -121,6 +123,8 @@ def real_interval(alpha: float) -> RealInterval:
 def _curve_points(alpha: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples!r}")
+    if samples > SAMPLES_CAP:  # checked before linspace allocates the curve
+        raise ValueError(f"{samples} samples exceed the cap of {SAMPLES_CAP}")
     t = np.linspace(0.0, 2.0 * math.pi, samples + 1)
     # radial factor |1 - e^{-it}|^alpha = (2 sin(t/2))^alpha; clip guards the
     # sign of sin against rounding at the endpoints, where 0^alpha must be 0
@@ -339,7 +343,7 @@ def classify_spectrum(spectrum, alpha: float, band: float = BOUNDARY_BAND) -> Ve
     eigenvalue wins over marginal ones.  Both follow from the worst
     (largest) margin, and its eigenvalue is the witness.
     """
-    values = _as_values(spectrum)
+    values = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=complex)
     if len(values) == 0:
         raise ValueError("cannot classify an empty spectrum")
     if np.isnan(values).any():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import multiset_distance
 from fracml.dynamics import (
     DECAYING,
     DIVERGED,
@@ -33,7 +34,6 @@ from fracml.spectra import (
     block_circulant_eigenvalues,
     circulant_eigenvalues,
     dense_eigenvalues,
-    multiset_distance,
 )
 from fracml.stability import (
     MARGINAL,

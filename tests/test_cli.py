@@ -523,6 +523,42 @@ def test_oversized_axis_count_is_refused_before_allocation(capsys, tmp_path, mon
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("boundary", "--alpha", "0.5"),
+    ("boundary", "--alpha", "0.5", "--gamma", "--n", "5", "--j", "1"),
+    ("boundary", "--alpha", "0.5", "--gamma-infinity"),
+    ("region", "--mode", "asymmetric", "--alpha", "0.5", "--n", "5"),
+    ("region", "--mode", "thermo-asymmetric", "--alpha", "0.5"),
+], ids=["beta", "gamma", "gamma-infinity", "region-asymmetric", "region-thermo"])
+def test_oversized_samples_are_refused_before_allocation(capsys, monkeypatch, argv):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("linspace ran")
+
+    monkeypatch.setattr(np, "linspace", spy)
+    code, out, err = run(capsys, *argv, "--samples", str(10**12))
+    assert code == 3 and out == ""
+    assert f"exceed the cap of {stability.SAMPLES_CAP}" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, key, cfg", [
+    ("simulate", "positive", {**_LINEAR_RUN, "positive": "false"}),
+    ("simulate", "positive", {**_LINEAR_RUN, "positive": 1}),
+    ("simulate", "positive", {**_LINEAR_RUN, "positive": None}),
+    ("sweep", "simulate", {**_SWEEP, "simulate": "false"}),
+    ("sweep", "simulate", {**_SWEEP, "simulate": 0}),
+], ids=["positive-string", "positive-number", "positive-null", "simulate-string", "simulate-number"])
+def test_flag_keys_accept_only_json_booleans(capsys, tmp_path, command, key, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 3 and out == ""
+    assert f"key {key!r} must be true or false" in err
+
+
 def test_region_thermo_asymmetric_csv(capsys, tmp_path):
     out_file = tmp_path / "region.csv"
     code, out, _ = run(capsys, "region", "--mode", "thermo-asymmetric", "--alpha", "0.3",

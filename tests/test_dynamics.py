@@ -37,7 +37,7 @@ from fracml.dynamics import (
     sweep,
 )
 from fracml.fractional import kernel_weights, memory_convolution
-from fracml.spectra import CirculantSpec
+from fracml.spectra import Circulant, CirculantSpec
 
 
 def test_map_values():
@@ -318,7 +318,7 @@ def test_memory_cap_rejects_before_allocating(monkeypatch):
         raise AssertionError("allocated before the memory check")
 
     monkeypatch.setattr(dynamics, "kernel_weights", refuse)
-    monkeypatch.setattr(CirculantSpec, "matrix", refuse)
+    monkeypatch.setattr(Circulant, "matrix", refuse)
     n, horizon = 10**6, 10**4
     assert 2 * 8 * (horizon + 1) * n > MEMORY_CAP_BYTES
     x0 = np.zeros(n)

@@ -7,8 +7,8 @@ test shares no code with it.
 import numpy as np
 import pytest
 
+from conftest import multiset_distance
 from fracml.eig import MAX_DENSE_N, EigenvalueConvergenceError, eigvals, hessenberg
-from fracml.spectra import multiset_distance
 
 
 def test_empty_and_scalar():

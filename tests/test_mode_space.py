@@ -1,11 +1,15 @@
-"""Linear rings in Fourier mode space against the site-space step loop.
+"""Linear rings and tori in Fourier mode space against the site-space step loop.
 
-``simulate_linear`` solves a CirculantSpec ring mode by mode, a block of
-rows at a time.  The same coupling given as an explicit matrix takes the
-step loop, which is the oracle here: random rings, orders, initial
-states and horizons across block edges must give the same trajectory.
-At order 1 both paths must reproduce the classical iteration.
+``simulate_linear`` solves a circulant coupling (ring or torus) mode by
+mode, a block of rows at a time.  The same coupling given as an explicit
+matrix takes the step loop, which is the oracle here: random rings,
+tori, orders, initial states and horizons across block edges must give
+the same trajectory.  At order 1 both paths must reproduce the classical
+iteration.  On tori, the closed-form verdict and the simulated one must
+not contradict each other.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +18,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fracml.dynamics import _MODE_BLOCK, simulate_linear  # noqa: E402
-from fracml.spectra import CirculantSpec, circulant_eigenvalues  # noqa: E402
-from fracml.stability import curve_margin  # noqa: E402
+from fracml.dynamics import (  # noqa: E402
+    _MODE_BLOCK, DECAYING, DIVERGED, GROWING, INCONCLUSIVE, classify_trajectory, seeded_state,
+    simulate_linear,
+)
+from fracml.spectra import BlockCirculantSpec, CirculantSpec, circulant_eigenvalues  # noqa: E402
+from fracml.stability import MARGINAL, STABLE, classify_spectrum, curve_margin  # noqa: E402
 
 # fixed examples, no example database: every run checks the same inputs
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -84,3 +91,55 @@ def test_order_one_is_the_classical_iteration(n, ring, coupling, horizon, seed):
     assert traj.horizon == horizon or traj.diverged
     peak = np.max(np.abs(traj.states))
     assert np.max(np.abs(traj.states - classical)) <= 1e-12 * peak
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)),
+    alpha=st.floats(min_value=0.05, max_value=1.0),
+    coupling=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
+    horizon=st.sampled_from(HORIZONS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_torus_mode_space_run_matches_step_loop(shape, alpha, coupling, horizon, seed):
+    spec = BlockCirculantSpec(*coupling, *shape)
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, math.prod(spec.shape))
+    _assert_same_run(simulate_linear(alpha, spec, x0, horizon), simulate_linear(alpha, spec.matrix(), x0, horizon))
+
+
+def test_diverging_torus_matches_step_loop():
+    spec = BlockCirculantSpec(0.3, 0.2, -0.45, 4, 6)
+    x0 = seeded_state(24, seed=5)
+    fast = simulate_linear(0.7, spec, x0, 1000)
+    assert fast.diverged and fast.horizon < 1000
+    _assert_same_run(fast, simulate_linear(0.7, spec.matrix(), x0, 1000))
+
+
+def _assert_same_run(fast, slow):
+    assert fast.diverged == slow.diverged
+    assert fast.states.shape == slow.states.shape
+    peak = np.max(np.abs(slow.states))
+    assert np.max(np.abs(fast.states - slow.states)) <= 1e-12 * peak
+
+
+def test_torus_verdicts_do_not_contradict():
+    # acceptance criterion 07 on tori: closed-form verdicts clear of the
+    # boundary against the window rule on a mode-space run
+    horizon, window = 2000, 100
+    rng = np.random.default_rng(2024)
+    counts = {STABLE: 0, "unstable": 0, INCONCLUSIVE: 0}
+    while sum(counts.values()) < 100:
+        alpha = rng.uniform(0.3, 1.0)
+        spec = BlockCirculantSpec(*rng.uniform(-0.3, 0.3, 3), *rng.integers(2, 7, 2))
+        verdict = classify_spectrum(circulant_eigenvalues(spec), alpha)
+        if verdict.status == MARGINAL or abs(verdict.margin) <= 0.05:
+            continue
+        empirical = classify_trajectory(
+            simulate_linear(alpha, spec, rng.uniform(-0.01, 0.01, math.prod(spec.shape)), horizon), window)
+        if empirical == INCONCLUSIVE:
+            counts[INCONCLUSIVE] += 1
+            continue
+        expected = (DECAYING,) if verdict.status == STABLE else (GROWING, DIVERGED)
+        assert empirical in expected, (spec, alpha, verdict, empirical)
+        counts[verdict.status] += 1
+    assert counts[STABLE] >= 25 and counts["unstable"] >= 25, counts

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import multiset_distance
 from fracml.spectra import (
     BlockCirculantSpec,
+    Circulant,
     CirculantSpec,
     Spectrum,
     asymmetric_eigenvalues,
@@ -16,7 +18,6 @@ from fracml.spectra import (
     distinct_mode_indices,
     mode_cosine,
     mode_sine,
-    multiset_distance,
     symmetric_eigenvalues,
 )
 
@@ -173,6 +174,41 @@ def test_block_matrix_row_sums():
     spec = BlockCirculantSpec(0.12, -0.4, -0.07, 3, 4)
     rows = spec.matrix().sum(axis=1)
     assert np.allclose(rows, -0.4 + 2 * 0.12 + 2 * -0.07, atol=1e-15)
+
+
+def _mirror_modes(shape):
+    """Flat index of mode -l for each mode l of a lattice, C order."""
+    return np.ravel_multi_index([(-i) % n for i, n in zip(np.indices(shape), shape)], shape).ravel()
+
+
+def test_closed_form_pairs_are_exact_conjugates():
+    # mode -l holds exactly the conjugate of mode l; a self-paired mode is real
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        ring = CirculantSpec(*rng.uniform(-1.0, 1.0, 3), int(rng.integers(1, 65)))
+        torus = BlockCirculantSpec(*rng.uniform(-1.0, 1.0, 3), *rng.integers(1, 33, 2))
+        for spec in (ring, torus):
+            vals = circulant_eigenvalues(spec).eigenvalues
+            mirror = _mirror_modes(spec.shape)
+            paired = mirror != np.arange(len(vals))
+            assert np.array_equal(vals[mirror], vals.conj())
+            assert (vals[~paired].imag == 0.0).all()
+
+
+def test_circulant_stencil_rules():
+    spec = Circulant((4,), {0: 0.5, -1: 0.25})
+    assert spec.shape == (4,) and dict(spec.stencil) == {(0,): 0.5, (-1,): 0.25}
+    assert dict(CirculantSpec(0.25, 0.5, 0.0, 4).stencil) == {(0,): 0.5, (-1,): 0.25, (1,): 0.0}
+    with pytest.raises(ValueError, match="at most one non-zero"):
+        Circulant((3, 3), {(1, 1): 0.5})  # a diagonal offset
+    with pytest.raises(ValueError, match="components"):
+        Circulant((3, 3), {1: 0.5})
+    with pytest.raises(ValueError):
+        Circulant((3, 0), {})
+    # wrapped offsets add, so the closed form and the matrix agree on tiny sides
+    wrapped = Circulant((2, 1), {(0, 0): 0.1, (1, 0): 0.2, (-1, 0): 0.3, (3, 0): 0.4, (0, 2): 0.5})
+    assert np.array_equal(wrapped.matrix(), [[0.6, 0.9], [0.9, 0.6]])
+    assert multiset_distance(circulant_eigenvalues(wrapped), [1.5, -0.3]) < 1e-15
 
 
 def test_spectrum_trace_property():

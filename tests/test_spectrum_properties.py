@@ -1,7 +1,8 @@
 """Closed forms against the general routes they shortcut.
 
-A ring's closed-form spectrum must be the dense solver's spectrum of
-its matrix, and a coupling region's verdict must be the verdict on the
+A circulant's closed-form spectrum (a ring, a torus or any axis-aligned
+stencil in up to three dimensions) must be the dense solver's spectrum
+of its matrix, and a coupling region's verdict must be the verdict on the
 ring's spectrum wherever the region's margin is clear of its boundary.
 """
 
@@ -11,12 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import multiset_distance  # noqa: E402
 from fracml.spectra import (  # noqa: E402
+    Circulant,
     CirculantSpec,
     asymmetric_eigenvalues,
     circulant_eigenvalues,
     dense_eigenvalues,
-    multiset_distance,
     symmetric_eigenvalues,
 )
 from fracml.stability import asymmetric_region, classify_spectrum, symmetric_region  # noqa: E402
@@ -37,6 +39,23 @@ CLEAR = 1e-6
 @given(weights, weights, weights, st.integers(min_value=1, max_value=16))
 def test_closed_form_spectrum_is_the_dense_spectrum(a0, a1, a2, n):
     spec = CirculantSpec(a0, a1, a2, n)
+    assert multiset_distance(circulant_eigenvalues(spec), dense_eigenvalues(spec.matrix())) < 1e-8
+
+
+@st.composite
+def circulants(draw):
+    """Axis-aligned stencils in 1-3 dimensions on at most 64 sites, offsets up to +-3."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    shape = tuple(draw(st.integers(min_value=1, max_value=(64, 8, 4)[d - 1])) for _ in range(d))
+    stencil = {}
+    for axis, k, c in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(-3, 3), weights), max_size=6)):
+        stencil[tuple(k if a == axis else 0 for a in range(d))] = c
+    return Circulant(shape, stencil)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(circulants())
+def test_closed_form_spectrum_of_any_stencil_is_the_dense_spectrum(spec):
     assert multiset_distance(circulant_eigenvalues(spec), dense_eigenvalues(spec.matrix())) < 1e-8
 
 
