@@ -214,6 +214,12 @@ def _axis_values(obj, where: str) -> np.ndarray:
 
 def cmd_classify(args) -> int:
     band = args.band
+    for flag in ("a0", "a1", "a2"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{flag} must be finite, got {value!r}")
+    if not 0.0 <= band < math.inf:
+        raise ValueError(f"--band must be finite and non-negative, got {band!r}")
     if args.matrix is not None:
         spec = spectra.dense_eigenvalues(_matrix_from_csv(args.matrix))
     elif args.mode == "asymmetric":
@@ -222,10 +228,10 @@ def cmd_classify(args) -> int:
     else:
         _require_args(args, "n", "a0", "a1", "a2")
         spec = spectra.circulant_eigenvalues(spectra.CirculantSpec(args.a0, args.a1, args.a2, args.n))
+    overall = stability.classify_spectrum(spec, args.alpha, band)  # refuses before any output
     values = spec.canonical()
     for lam, margin in zip(values, stability.curve_margin(values, args.alpha).tolist()):
         print(f"{_fmt_complex(lam)}  {stability.margin_status(margin, band)}  margin={margin:.6g}")
-    overall = stability.classify_spectrum(spec, args.alpha, band)
     line = f"overall: {overall.status}  margin={overall.margin:.6g}"
     if overall.witness is not None:
         line += f"  witness={_fmt_complex(overall.witness)}"

@@ -471,6 +471,16 @@ def simulate_nonlinear(
     return _run(a, drift, x_init, t_max, cutoff)
 
 
+def _window(steps: int, window) -> int:
+    """``window`` as an int, checked for the window rule on a run of ``steps`` steps."""
+    win = int(window)
+    if win < 1:
+        raise ValueError("window must be >= 1")
+    if steps < 4 * win:
+        raise ValueError(f"horizon {steps} too short for window {win}; need >= {4 * win}")
+    return win
+
+
 def classify_trajectory(traj: Trajectory, window: int = 100, reference=0.0) -> str:
     """Empirical verdict: decaying, growing, inconclusive or diverged.
 
@@ -482,11 +492,7 @@ def classify_trajectory(traj: Trajectory, window: int = 100, reference=0.0) -> s
     """
     if traj.diverged:
         return DIVERGED
-    win = int(window)
-    if win < 1:
-        raise ValueError("window must be >= 1")
-    if traj.horizon < 4 * win:
-        raise ValueError(f"horizon {traj.horizon} too short for window {win}; need >= {4 * win}")
+    win = _window(traj.horizon, window)
     dev = np.max(np.abs(traj.states - np.asarray(reference, dtype=float)), axis=1)
     early = float(np.max(dev[:win]))
     late = float(np.max(dev[-win:]))
@@ -565,8 +571,10 @@ def sweep(
     cells at once, not cell by cell.  ``simulate=True`` adds the
     empirical verdict of a seeded run per cell, run one after another;
     cell (i, k) draws its initial state as seeded_state(n, 0.0,
-    amplitude, (seed, i, k)), so an amplitude <= 0 raises ValueError.
-    Verdicts use ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
+    amplitude, (seed, i, k)).  Before any margin or run, a simulated
+    sweep raises ValueError unless amplitude > 0, ``check_run`` accepts
+    the horizon, window >= 1 and horizon >= 4 window.  Verdicts use
+    ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
     ``threads`` is accepted and ignored.  NaN parameters raise ValueError.
     """
     if mode not in _SWEEP_MODES:
@@ -581,6 +589,10 @@ def sweep(
         raise ValueError(f"grid of {cells} cells exceeds the cap of {cap}")
     if int(n) * cells > SWEEP_MODE_CAP:
         raise ValueError(f"{cells} cells of {n} sites exceed the cap of {SWEEP_MODE_CAP} modes")
+    if simulate:  # the settings of every run, checked before any margin or run
+        if not amplitude > 0.0:
+            raise ValueError("amplitude must be positive")
+        _window(check_run(horizon, (n,), modes=mode in ("symmetric", "asymmetric")), window)
     if cells == 0:
         return []
 

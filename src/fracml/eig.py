@@ -16,10 +16,11 @@ import math
 
 import numpy as np
 
-__all__ = ["EigenvalueConvergenceError", "MAX_DENSE_N", "hessenberg", "eigvals"]
+__all__ = ["EigenvalueConvergenceError", "MAX_DENSE_N", "SWEEPS_PER_ORDER", "hessenberg", "eigvals"]
 
 # Practical cap: O(n^3) with no blocking; beyond this, use a LAPACK build.
 MAX_DENSE_N = 512
+SWEEPS_PER_ORDER = 100  # QR sweep budget of an order-n matrix: SWEEPS_PER_ORDER * n
 
 _EPS = np.finfo(float).eps
 _TOL = 1e-9  # relative deflation threshold; error about _TOL * norm(a) if well-conditioned
@@ -51,10 +52,7 @@ def hessenberg(a) -> np.ndarray:
             continue
         v = x.copy()
         v[0] += math.copysign(xnorm, x[0])
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
+        v /= float(np.linalg.norm(v))  # its norm is at least |v[0]| >= xnorm > 0
         # similarity by P = I - 2 v v^T on the trailing block
         h[k + 1 :, k:] -= 2.0 * np.outer(v, v @ h[k + 1 :, k:])
         h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v)
@@ -83,10 +81,7 @@ def _house3(x: float, y: float, z: float):
     if norm == 0.0:
         return None
     v = np.array([x + math.copysign(norm, x), y, z])
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
-        return None
-    return v / vnorm
+    return v / float(np.linalg.norm(v))  # its norm is at least |v[0]| >= norm > 0
 
 
 def _francis_step(h: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
@@ -124,16 +119,14 @@ def _francis_step(h: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
     norm = math.hypot(x, y)
     if norm != 0.0:
         v = np.array([x + math.copysign(norm, x), y])
-        vnorm = float(np.linalg.norm(v))
-        if vnorm != 0.0:
-            v /= vnorm
-            blk = h[hi - 1 : hi + 1, hi - 2 : hi + 1]
-            blk -= 2.0 * np.outer(v, v @ blk)
-            blk = h[lo : hi + 1, hi - 1 : hi + 1]
-            blk -= 2.0 * np.outer(blk @ v, v)
+        v /= float(np.linalg.norm(v))  # its norm is at least |v[0]| >= norm > 0
+        blk = h[hi - 1 : hi + 1, hi - 2 : hi + 1]
+        blk -= 2.0 * np.outer(v, v @ blk)
+        blk = h[lo : hi + 1, hi - 1 : hi + 1]
+        blk -= 2.0 * np.outer(blk @ v, v)
 
 
-def eigvals(a, iteration_cap: int | None = None) -> np.ndarray:
+def eigvals(a) -> np.ndarray:
     """All eigenvalues of a real square matrix, unordered.
 
     The iteration runs on the matrix times the power of two that brings
@@ -143,14 +136,12 @@ def eigvals(a, iteration_cap: int | None = None) -> np.ndarray:
     ----------
     a : array_like, shape (n, n)
         Real matrix with finite entries, n <= MAX_DENSE_N.
-    iteration_cap : int, optional
-        Total QR sweep budget; defaults to 100 * n.
 
     Raises
     ------
     EigenvalueConvergenceError
-        If the budget is exhausted before full deflation.  Never returns
-        silently wrong values in that case.
+        If SWEEPS_PER_ORDER * n QR sweeps end before full deflation.
+        Never returns silently wrong values in that case.
     """
     h = _check_square(a)
     n = h.shape[0]
@@ -159,11 +150,11 @@ def eigvals(a, iteration_cap: int | None = None) -> np.ndarray:
     if n == 1:
         return np.array([complex(h[0, 0])])
     e = int(np.frexp(np.abs(h).max())[1])
-    out = _scaled_eigvals(np.ldexp(h, -e), iteration_cap)
+    out = _scaled_eigvals(np.ldexp(h, -e))
     return np.ldexp(out.view(float), e).view(complex)
 
 
-def _scaled_eigvals(h: np.ndarray, iteration_cap: int | None) -> np.ndarray:
+def _scaled_eigvals(h: np.ndarray) -> np.ndarray:
     """eigvals of a checked matrix of order >= 2 with entries below 1 in modulus."""
     n = h.shape[0]
     hnorm = float(np.linalg.norm(h))
@@ -172,7 +163,7 @@ def _scaled_eigvals(h: np.ndarray, iteration_cap: int | None) -> np.ndarray:
     if n == 2:
         return np.array(_eig2(h[0, 0], h[0, 1], h[1, 0], h[1, 1]))
     h = hessenberg(h)
-    cap = 100 * n if iteration_cap is None else int(iteration_cap)
+    cap = SWEEPS_PER_ORDER * n
     out = np.empty(n, dtype=complex)
     hi = n - 1
     sweeps = 0

@@ -52,7 +52,8 @@ def kernel_weights(alpha: float, length: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Read-only, so one table can be shared across threads.
+        Read-only: a run transforms blocks of it once and reuses them
+        (``dynamics._add_far``), so no caller may change it mid-run.
     """
     a = validate_order(alpha)
     n = int(length)

@@ -24,19 +24,22 @@ import numpy as np
 from . import eig
 
 __all__ = [
+    "SITE_CAP",
     "Circulant",
     "CirculantSpec",
     "BlockCirculantSpec",
     "Spectrum",
     "mode_cosine",
     "mode_sine",
-    "distinct_mode_indices",
     "circulant_eigenvalues",
     "symmetric_eigenvalues",
     "asymmetric_eigenvalues",
     "block_circulant_eigenvalues",
     "dense_eigenvalues",
 ]
+
+
+SITE_CAP = 10_000_000  # sites along one axis with a closed-form spectrum: a 160 MB mode table
 
 
 def mode_cosine(j: int, n: int) -> float:
@@ -61,11 +64,6 @@ def mode_sine(j: int, n: int) -> float:
     if 4 * j == 3 * n:
         return -1.0
     return math.sin(2.0 * math.pi * j / n)
-
-
-def distinct_mode_indices(n: int) -> range:
-    """Deduplicated mode indices of a symmetric ring: 0 .. floor(n/2)."""
-    return range(n // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,18 @@ class Spectrum:
 
 @functools.lru_cache(maxsize=16)
 def _trig_table(n: int) -> np.ndarray:
-    """Read-only rows (cos, sin) of 2 pi l / n, l < n; row n - l is row l with its sine negated."""
-    table, half, m = np.empty((n, 2)), range(n // 2 + 1), (n - 1) // 2  # a size numpy refuses fails here
-    cos, sin = [mode_cosine(l, n) for l in half], [mode_sine(l, n) for l in half]
-    table[:] = np.array([cos + cos[m:0:-1], sin + [-s for s in sin[m:0:-1]]]).T
+    """Read-only rows (cos, sin) of 2 pi l / n, l < n; row n - l is row l with its sine negated.
+
+    Every closed-form spectrum and symmetric-region margin reads its mode
+    values here, so a side above SITE_CAP raises ValueError before any work.
+    """
+    if n > SITE_CAP:
+        raise ValueError(f"{n} sites along one axis exceed the cap of {SITE_CAP}")
+    half, m = n // 2 + 1, (n - 1) // 2
+    table = np.empty((n, 2))
+    table[:half, 0] = np.fromiter((mode_cosine(l, n) for l in range(half)), float, half)
+    table[:half, 1] = np.fromiter((mode_sine(l, n) for l in range(half)), float, half)
+    table[half:] = table[m:0:-1] * (1.0, -1.0)
     table.flags.writeable = False
     return table
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import validate_order
-from .spectra import distinct_mode_indices, mode_cosine, mode_sine
+from .spectra import _trig_table, mode_sine
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -284,6 +284,7 @@ def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
     return np.minimum(d1[:, 0], dist.min(axis=1))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a far point's squared distance saturates at +inf
 def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
     """Signed Euclidean distance from each point to the stability curve.
 
@@ -298,7 +299,9 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
     about the cusp, a point is inside iff theta > alpha pi/2 and its
     distance from the cusp is below (2 sin(t/2))^alpha, where
     t = (theta - alpha pi/2) / (1 - alpha/2).  On the real axis this is
-    the open interval (1 - 2^alpha, 1).
+    the open interval (1 - 2^alpha, 1).  Points at infinity get +inf, as
+    do finite points beyond about 1e154, whose squared distance
+    overflows; a NaN part gives NaN.  No warning is raised.
     """
     a = validate_order(alpha)
     s = float(yscale)
@@ -306,7 +309,10 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
         raise ValueError(f"yscale must be positive, got {yscale!r}")
     p = np.asarray(points, dtype=complex)
     # folding makes the margins of conjugate points bit-identical
-    z = (p.real - 1.0) + 1j * (s * np.abs(p.imag))
+    z = np.array(p.real - 1.0, dtype=complex)
+    z.imag = s * np.abs(p.imag)
+    far = np.isinf(z) & ~np.isnan(z)
+    z = np.where(far, 0.0, z)  # a placeholder: the search sees finite points only
     t = (np.arctan2(z.imag, z.real) - 0.5 * a * math.pi) / (1.0 - 0.5 * a)
     inside = np.abs(z) < (2.0 * np.sin(0.5 * np.maximum(t, 0.0))) ** a
     flat = z.ravel()
@@ -315,7 +321,7 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
     for start in range(0, len(flat), _CHUNK):
         best[start:start + _CHUNK] = _nearest(flat[start:start + _CHUNK], a, s**-2, seeds)
     d = np.sqrt(best).reshape(z.shape)
-    return np.where(inside, -d, d)
+    return np.where(far, np.inf, np.where(inside, -d, d))
 
 
 def _reject_nan(*params: float) -> None:
@@ -331,9 +337,12 @@ def margin_status(margin: float, band: float = BOUNDARY_BAND) -> str:
     return STABLE if margin < 0.0 else UNSTABLE
 
 
-def eigenvalue_in_region(lam: complex, alpha: float, band: float = BOUNDARY_BAND) -> Verdict:
-    """Verdict for one eigenvalue: marginal within ``band`` of the curve."""
-    return classify_spectrum([complex(lam)], alpha, band)
+def eigenvalue_in_region(lam: complex, alpha: float) -> Verdict:
+    """Verdict for one eigenvalue: marginal within ``BOUNDARY_BAND`` of the curve.
+
+    For another band, use ``classify_spectrum([lam], alpha, band)``.
+    """
+    return classify_spectrum([complex(lam)], alpha)
 
 
 def classify_spectrum(spectrum, alpha: float, band: float = BOUNDARY_BAND) -> Verdict:
@@ -356,15 +365,33 @@ def classify_spectrum(spectrum, alpha: float, band: float = BOUNDARY_BAND) -> Ve
     return Verdict(status, witness=None if status == STABLE else complex(values[k]), margin=margin)
 
 
+class _Region:
+    """Verdicts of a coupling region, read off its ``signed_margin`` at a point of its plane."""
+
+    def classify(self, x: float, y: float) -> Verdict:
+        """Verdict at (x, y): marginal within ``BOUNDARY_BAND``; NaN raises ValueError."""
+        _reject_nan(x, y)
+        margin = float(self.signed_margin(x, y))
+        return Verdict(margin_status(margin), margin=margin)
+
+    def contains(self, x: float, y: float) -> bool:
+        """Strict membership, no tolerance band: a negative margin."""
+        return bool(self.signed_margin(x, y) < 0.0)
+
+
 @dataclass(frozen=True)
-class Quadrilateral:
+class Quadrilateral(_Region):
     """Stable coupling region of a symmetric ring in the (a2, a1) plane.
 
     ``vertices`` lists Q1..Q4 counterclockwise starting at (0, 1).  The
     region itself is the intersection of the exact half-planes
-    1 - 2^alpha < a1 + 2 a2 cos(2 pi j / n) < 1 over the distinct modes;
-    vertices are derived data for display.  ``n`` is None for the
-    large-lattice limit, where the binding cosines are +-1.
+    1 - 2^alpha < a1 + 2 a2 cos(2 pi j / n) < 1 over the distinct modes
+    j <= n/2, their cosines read from the ring's mode table; vertices
+    are derived data for display.  ``n`` is None for the large-lattice
+    limit, where the binding cosines are +-1.  Points are (a2, a1).
+    Membership is exact unless 1 - 2^alpha rounds to 0 (alpha < 1.6e-16),
+    where the margin of a1 + 2 a2 cos = 5e-324 rounds to -0.0 and reads
+    outside.
     """
 
     alpha: float
@@ -373,9 +400,7 @@ class Quadrilateral:
     n: int | None = None
 
     def _cosines(self):
-        if self.n is None:
-            return (1.0, -1.0)
-        return tuple(mode_cosine(j, self.n) for j in distinct_mode_indices(self.n))
+        return (1.0, -1.0) if self.n is None else _trig_table(self.n)[: self.n // 2 + 1, 0]
 
     def signed_margin(self, a2, a1):
         """Largest violation distance over all half-planes (negative inside); scalars or arrays."""
@@ -386,19 +411,6 @@ class Quadrilateral:
             scale = math.sqrt(1.0 + 4.0 * c * c)
             worst = np.maximum(worst, np.maximum((m - 1.0) / scale, (lo - m) / scale))
         return worst
-
-    def contains(self, a2: float, a1: float) -> bool:
-        """Strict half-plane membership, no tolerance band: a negative margin.
-
-        Exact unless 1 - 2^alpha rounds to 0 (alpha < 1.6e-16), where the
-        margin of a1 + 2 a2 cos = 5e-324 rounds to -0.0 and reads outside.
-        """
-        return bool(self.signed_margin(a2, a1) < 0.0)
-
-    def classify(self, a2: float, a1: float, band: float = BOUNDARY_BAND) -> Verdict:
-        _reject_nan(a2, a1)
-        margin = float(self.signed_margin(a2, a1))
-        return Verdict(margin_status(margin, band), margin=margin)
 
 
 def symmetric_region(alpha: float, n: int) -> Quadrilateral:
@@ -449,7 +461,7 @@ def innermost_cardioid_index(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class AsymmetricRegion:
+class AsymmetricRegion(_Region):
     """Stable coupling region of an antisymmetric ring in the (a1, a2) plane.
 
     For n <= 2 every eigenvalue is a1 itself, so only the real interval
@@ -457,7 +469,7 @@ class AsymmetricRegion:
     of the innermost mode's coupling-plane boundary, the eigenvalue-plane
     curve with its y axis divided by ``yscale`` = 2 sin(2 pi j / n), cut
     by the strip 1 - 2^alpha < a1 < 1.  ``n`` is None for the
-    large-lattice limit, where ``yscale`` is 2.
+    large-lattice limit, where ``yscale`` is 2.  Points are (a1, a2).
     """
 
     alpha: float
@@ -473,14 +485,6 @@ class AsymmetricRegion:
             point = np.asarray(a1) + 1j * np.asarray(a2)
             margin = np.maximum(margin, curve_margin(point, self.alpha, self.yscale))
         return margin
-
-    def classify(self, a1: float, a2: float, band: float = BOUNDARY_BAND) -> Verdict:
-        _reject_nan(a1, a2)
-        margin = float(self.signed_margin(a1, a2))
-        return Verdict(margin_status(margin, band), margin=margin)
-
-    def contains(self, a1: float, a2: float) -> bool:
-        return bool(self.signed_margin(a1, a2) < 0.0)
 
 
 def asymmetric_region(alpha: float, n: int) -> AsymmetricRegion:

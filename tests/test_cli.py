@@ -3,11 +3,12 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fracml import dynamics, stability
+from fracml import dynamics, spectra, stability
 from fracml.cli import _EMPIRICAL_EXIT, _STATUS_EXIT, main, write_trajectory_csv
 from fracml.dynamics import Trajectory
 from fracml.stability import symmetric_region
@@ -47,6 +48,53 @@ def test_classify_asymmetric_mode(capsys):
     )
     assert code == 0
     assert "overall: stable" in out
+
+
+@pytest.mark.parametrize("flag", ["--a0", "--a1", "--a2", "--band"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_classify_refuses_non_finite_flags_before_any_output(capsys, flag, value):
+    flags = {"--a0": "0.1", "--a1": "0.1", "--a2": "0.1", flag: value}
+    code, out, err = run(capsys, "classify", "--alpha", "0.5", "--n", "4", *(f"{k}={v}" for k, v in flags.items()))
+    assert code == 3 and out == ""
+    assert f"{flag} must be finite" in err
+
+
+def test_classify_refuses_a_negative_band(capsys):
+    code, out, err = run(capsys, "classify", "--alpha", "0.5", "--n", "4", "--a0", "0.1", "--a1", "0.1",
+                         "--a2", "0.1", "--band=-1e-7")
+    assert code == 3 and out == ""
+    assert "--band must be finite and non-negative" in err
+
+
+def test_classify_decides_before_it_prints(capsys):
+    # finite weights whose spectrum holds NaN: refused before any eigenvalue line, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "classify", "--alpha", "0.5", "--n", "4", "--a0", "1e308", "--a1", "0",
+                             "--a2=-1e308")
+    assert code == 3 and out == ""
+    assert "NaN eigenvalues" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", str(spectra.SITE_CAP + 1), "--a0", "0.1", "--a1", "0.1", "--a2", "0.1"),
+    ("--mode", "asymmetric", "--n", str(spectra.SITE_CAP + 1), "--a1", "0.1", "--a2", "0.1"),
+    ("--n", str(10**9), "--a0", "0.1", "--a1", "0.1", "--a2", "0.1"),
+], ids=["circulant", "asymmetric", "billion"])
+def test_classify_refuses_a_ring_above_the_site_cap(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a margin started before the site cap")
+
+    monkeypatch.setattr(stability, "curve_margin", refuse)
+    code, out, err = run(capsys, "classify", "--alpha", "0.5", *argv)
+    assert code == 3 and out == ""
+    assert f"exceed the cap of {spectra.SITE_CAP}" in err
+
+
+def test_region_symmetric_needs_no_mode_table(capsys):
+    code, out, _ = run(capsys, "region", "--mode", "symmetric", "--alpha", "0.5", "--n", str(10**12))
+    assert code == 0
+    assert out.startswith("label,a2,a1\nQ1,") and out.count("\n") == 5
 
 
 def test_classify_missing_flags(capsys):

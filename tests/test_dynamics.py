@@ -1,6 +1,7 @@
 """Tests for maps, equilibria, lattice simulators, and sweeps."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -37,7 +38,7 @@ from fracml.dynamics import (
     sweep,
 )
 from fracml.fractional import kernel_weights, memory_convolution
-from fracml.spectra import Circulant, CirculantSpec
+from fracml.spectra import SITE_CAP, Circulant, CirculantSpec
 
 
 def test_map_values():
@@ -484,6 +485,43 @@ def test_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
     n = dynamics.SWEEP_MODE_CAP // 10**4
     with pytest.raises(ValueError, match="cap"):
         sweep(mode, 0.5, n, np.zeros(100), np.zeros(101))
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "logistic-cubic", "logistic-circle"])
+def test_sweep_refuses_a_ring_above_the_site_cap_before_any_margin(monkeypatch, mode):
+    # one cell is far inside SWEEP_MODE_CAP; the ring's mode table is not
+    def refuse(*args, **kwargs):
+        raise AssertionError("a margin started before the site cap")
+
+    monkeypatch.setattr(dynamics.stability, "curve_margin", refuse)
+    with pytest.raises(ValueError, match=f"cap of {SITE_CAP}"):
+        sweep(mode, 0.5, SITE_CAP + 1, [0.1], [0.2])
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
+@pytest.mark.parametrize("n, opts, message", [
+    (4, dict(horizon=100_000, window=30_000), "horizon 100000 too short for window 30000; need >= 120000"),
+    (4, dict(horizon=399), "horizon 399 too short for window 100; need >= 400"),
+    (4, dict(window=0), "window must be >= 1"),
+    (4, dict(horizon=0), "horizon must be >= 1"),
+    (4, dict(horizon=HORIZON_CAP + 1), f"exceeds the cap of {HORIZON_CAP} steps"),
+    (10**6, {}, "MiB, above the cap"),
+    (4, dict(amplitude=0.0), "amplitude must be positive"),
+    (4, dict(amplitude=math.nan), "amplitude must be positive"),
+], ids=["window-too-long", "horizon-too-short", "window-0", "horizon-0", "horizon-cap",
+        "memory-cap", "amplitude-0", "amplitude-nan"])
+def test_simulated_sweep_checks_its_run_settings_before_any_work(monkeypatch, mode, n, opts, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the run settings were checked")
+
+    for name in ("simulate_linear", "simulate_nonlinear"):
+        monkeypatch.setattr(dynamics, name, refuse)
+    monkeypatch.setattr(dynamics.stability, "curve_margin", refuse)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(mode, 0.5, n, [0.1], [0.2], simulate=True, **opts)
+    monkeypatch.undo()
+    if n == 4:  # an analytic sweep runs nothing, so the settings do not matter
+        assert len(sweep(mode, 0.5, n, [0.1], [0.2], **opts)) == 1
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])

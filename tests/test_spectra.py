@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import multiset_distance
+from fracml import spectra
 from fracml.spectra import (
     BlockCirculantSpec,
     Circulant,
@@ -15,7 +16,6 @@ from fracml.spectra import (
     block_circulant_eigenvalues,
     circulant_eigenvalues,
     dense_eigenvalues,
-    distinct_mode_indices,
     mode_cosine,
     mode_sine,
     symmetric_eigenvalues,
@@ -34,10 +34,23 @@ def test_mode_trig_exact_values():
     assert mode_cosine(7, 4) == mode_cosine(3, 4)  # periodic in j
 
 
-def test_distinct_mode_indices():
-    assert list(distinct_mode_indices(1)) == [0]
-    assert list(distinct_mode_indices(6)) == [0, 1, 2, 3]
-    assert list(distinct_mode_indices(7)) == [0, 1, 2, 3]
+def test_mode_table_refuses_an_axis_above_the_site_cap(monkeypatch):
+    # the uncached builder, so no table kept from another test answers instead
+    monkeypatch.setattr(spectra, "SITE_CAP", 12)
+    assert spectra._trig_table.__wrapped__(12).shape == (12, 2)
+    with pytest.raises(ValueError, match="exceed the cap of 12"):
+        spectra._trig_table.__wrapped__(13)
+
+
+def test_closed_form_refuses_an_axis_above_the_site_cap_before_any_mode(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mode values computed before the site cap")
+
+    monkeypatch.setattr(spectra, "mode_cosine", refuse)
+    big = spectra.SITE_CAP + 1
+    for spec in (CirculantSpec(0.1, 0.2, 0.3, big), BlockCirculantSpec(0.1, 0.2, 0.3, 3, big)):
+        with pytest.raises(ValueError, match=f"{big} sites along one axis exceed the cap"):
+            circulant_eigenvalues(spec)
 
 
 def test_circulant_matrix_small_sizes():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracml.spectra import CirculantSpec, circulant_eigenvalues
+from fracml.spectra import SITE_CAP, CirculantSpec, circulant_eigenvalues
 from fracml.stability import (
     MARGINAL,
     STABLE,
@@ -528,3 +528,26 @@ def test_region_classify_refuses_nan_parameters(region):
         for params in ((math.nan, 0.1), (0.1, math.nan)):
             with pytest.raises(ValueError, match="NaN"):
                 region.classify(*params)
+
+
+def test_points_at_infinity_have_infinite_margin_without_warnings():
+    far = [math.inf, complex(-math.inf, 1.0), complex(0.0, math.inf), 1e200, complex(1e308, 1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for yscale in (1.0, 2.0):
+            assert (curve_margin(far, 0.5, yscale) == math.inf).all()
+            for p in far:
+                assert curve_margin(p, 0.5, yscale) == math.inf
+        # a NaN part is still no margin, and a finite neighbor keeps its own
+        assert math.isnan(curve_margin(complex(math.inf, math.nan), 0.5))
+        assert curve_margin([0.5, math.inf], 0.5)[0] == pytest.approx(-0.5, abs=1e-12)
+        assert eigenvalue_in_region(complex(0.0, math.inf), 0.5).margin == math.inf
+
+
+def test_symmetric_margins_refuse_a_ring_above_the_site_cap():
+    # the vertices need no mode table; the margins read it
+    region = symmetric_region(0.5, SITE_CAP + 1)
+    assert len(region.vertices) == 4
+    for verdict in (region.signed_margin, region.classify, region.contains):
+        with pytest.raises(ValueError, match=f"cap of {SITE_CAP}"):
+            verdict(0.1, 0.2)
