@@ -228,9 +228,11 @@ def cmd_classify(args) -> int:
     else:
         _require_args(args, "n", "a0", "a1", "a2")
         spec = spectra.circulant_eigenvalues(spectra.CirculantSpec(args.a0, args.a1, args.a2, args.n))
-    overall = stability.classify_spectrum(spec, args.alpha, band)  # refuses before any output
-    values = spec.canonical()
-    for lam, margin in zip(values, stability.curve_margin(values, args.alpha).tolist()):
+    # one margin pass; an empty or NaN spectrum is refused before any output
+    values, margins = stability._spectrum_margins(spec, args.alpha)
+    overall = stability._worst(values, margins, band)
+    order = spec.canonical_order()
+    for lam, margin in zip(values[order], margins[order].tolist()):
         print(f"{_fmt_complex(lam)}  {stability.margin_status(margin, band)}  margin={margin:.6g}")
     line = f"overall: {overall.status}  margin={overall.margin:.6g}"
     if overall.witness is not None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import stability
 from .fractional import kernel_weights, memory_convolution, validate_order
-from .spectra import Circulant, CirculantSpec, circulant_eigenvalues
+from .spectra import Circulant, CirculantSpec, _trig_table
 
 __all__ = [
     "HORIZON_CAP",
@@ -72,6 +72,7 @@ DEFAULT_AMPLITUDE = 0.01
 _NEAR = 128  # steps per block of the memory sum that is summed directly
 _MODE_BLOCK = 32  # rows per block a mode-space run solves at once
 _FFT_BLOCK = 1 << 15  # values per FFT product; keeps its temporaries small beside the history
+_GROUP_BYTES = 1 << 23  # arrays of the sweep cells one mode-space run solves together
 _DOUBLE_MAX = sys.float_info.max
 
 DECAYING = "decaying"
@@ -247,6 +248,14 @@ def _mode_block(t_max: int) -> int:
     return min(_MODE_BLOCK, 1 << ((2 * t_max + 2).bit_length() - 1) // 2)
 
 
+def _run_bytes(t: int, shape: tuple, modes: bool) -> int:
+    """Bytes of the arrays one run keeps; see ``check_run``."""
+    n = math.prod(shape)
+    if modes:
+        return 8 * (t + 1) * n + 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1) * (t + 1 + _mode_block(t) ** 2)
+    return 16 * (t + 1) * n
+
+
 def check_run(horizon: int, shape: tuple, modes: bool = False) -> int:
     """Step count of a run of ``horizon`` steps on a lattice of ``shape``, checked.
 
@@ -262,14 +271,10 @@ def check_run(horizon: int, shape: tuple, modes: bool = False) -> int:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     if t > HORIZON_CAP:
         raise ValueError(f"horizon {t} exceeds the cap of {HORIZON_CAP} steps")
-    n = math.prod(shape)
-    if modes:
-        need = 8 * (t + 1) * n + 16 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1) * (t + 1 + _mode_block(t) ** 2)
-    else:
-        need = 16 * (t + 1) * n
+    need = _run_bytes(t, shape, modes)
     if need > MEMORY_CAP_BYTES:
         raise ValueError(
-            f"a run of {t} steps on {n} sites needs {need / 2**20:.0f} MiB, "
+            f"a run of {t} steps on {math.prod(shape)} sites needs {need / 2**20:.0f} MiB, "
             f"above the cap of {MEMORY_CAP_BYTES / 2**20:.0f} MiB"
         )
     return t
@@ -344,12 +349,21 @@ def _run(alpha: float, drift, x_init: np.ndarray, t_max: int, cutoff: float) -> 
     return Trajectory(hist, alpha)
 
 
-def _run_modes(alpha: float, col: np.ndarray, x_init: np.ndarray, t_max: int, cutoff: float):
-    """Linear circulant run in Fourier modes; None if the resolvent overflows.
+def _resolvent(w: np.ndarray, c: np.ndarray, size: int):
+    """First columns q (size x modes) of one cell's block resolvents; None if they overflow."""
+    q = np.zeros((size, len(c)), complex)
+    q[0] = 1.0
+    for k in range(1, size):
+        q[k] = c * memory_convolution(w, q, k - 1)
+    return q if np.isfinite(q).all() else None  # inf * 0 would reach modes that are exactly zero
 
-    ``col`` is the first column of A - I, shaped like the lattice;
-    ``x_init`` holds its sites in C order.  Mode l of X_t is
-    y_t = rfftn(X_t)_l / N, and it obeys
+
+def _run_modes(alpha: float, cols: np.ndarray, x_init: np.ndarray, t_max: int, cutoff: float) -> list:
+    """Linear circulant runs in Fourier modes, one per cell; None for a cell whose resolvent overflows.
+
+    Row i of ``cols`` is cell i's first column of A - I, shaped like the
+    lattice; row i of ``x_init`` holds its sites in C order.  Mode l of
+    X_t is y_t = rfftn(X_t)_l / N, and it obeys
     y_r = y_0 + c sum_{j<r} w[r-1-j] y_j with c = lambda_l - 1.  Rows
     are solved a block of B at a time: inside a block the recurrence is
     a lower-triangular Toeplitz system whose inverse has first column q
@@ -358,43 +372,73 @@ def _run_modes(alpha: float, col: np.ndarray, x_init: np.ndarray, t_max: int, cu
     entries cannot swamp its early ones.  Older rows enter by the same
     dyadic FFT products as in _run.  Rows of ``modes`` ahead of the
     current block hold their far-field sums.
+
+    All cells share alpha, the horizon, the weights and each block's FFT
+    products; each has its own columns of modes, its own resolvents
+    (built as a run of one cell builds them) and its own cut row.  Every
+    operation acts on each column alone, so a cell's trajectory is bit
+    for bit the one it gets when run alone, and a diverged cell's columns
+    are zeroed at its cut, so its inf or NaN reaches no other cell.
     """
-    c = np.fft.rfftn(col)
-    modes_shape, c = c.shape, c.ravel()
+    cells, shape = len(cols), cols.shape[1:]
     w = kernel_weights(alpha, t_max + 1)
     size = _mode_block(t_max)
     limit = _limit(cutoff)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    out = [None] * cells
     with np.errstate(all="ignore"):
-        q = np.zeros((size, len(c)), complex)
-        q[0] = 1.0
-        for k in range(1, size):
-            q[k] = c * memory_convolution(w, q, k - 1)
-        if not np.isfinite(q).all():
-            return None  # inf * 0 would reach modes that are exactly zero
-        lag = np.subtract.outer(np.arange(size), np.arange(size))
-        res = q.T[:, np.maximum(lag, 0)] * (lag >= 0)  # (modes, size, size)
-        x_init = x_init.reshape(col.shape)
-        y0 = np.fft.rfftn(x_init, norm="forward").ravel()  # |y0| <= max |X_0|
-        modes = np.zeros((t_max + 1, len(c)), complex)
-        hist = np.empty((t_max + 1,) + col.shape)
-        cache, last, axes = {}, col.shape[-1], range(1, col.ndim)
+        c = np.fft.rfftn(cols, axes=range(1, cols.ndim))
+        modes_shape = c.shape[1:]
+        c = c.reshape(cells, -1)
+        qs = [_resolvent(w, ci, size) for ci in c]
+        run = [i for i, q in enumerate(qs) if q is not None]
+        if not run:
+            return out
+        k, m = len(run), c.shape[1]
+        # (cells, modes, size, size), each cell's matrices strided as a run of
+        # one cell lays them out, so the matrix products round alike
+        res = np.empty((k, size, size, m), complex).transpose(0, 3, 1, 2)
+        for j, i in enumerate(run):
+            np.multiply(qs[i].T[:, np.maximum(lag, 0)], lag >= 0, out=res[j])
+        del qs
+        c = c[run].ravel()
+        x_init = x_init[run].reshape((k,) + shape)
+        y0 = np.fft.rfftn(x_init, axes=range(1, cols.ndim), norm="forward").ravel()  # |y0| <= max |X_0|
+        modes = np.zeros((t_max + 1, k * m), complex)
+        hist = np.empty((t_max + 1, k) + shape)
+        cut = [None] * k  # rows each cell keeps; None for a run to the horizon
+        cache, last, axes = {}, shape[-1], range(2, cols.ndim)
         for b in range(0, t_max + 1, size):
             if b:
                 span = b & -b
                 _add_far(w, modes[b - span:b].view(float), modes[b:b + span].view(float), 0, cache)
             e = min(b + size, t_max + 1)
-            f = y0 + c * modes[b:e]
-            y = modes[b:e] = np.matmul(res[:, :e - b, :e - b], f.T[:, :, None])[..., 0].T
+            f = (y0 + c * modes[b:e]).reshape(e - b, k, m)
+            # each cell's right-hand sides strided as in a run of one cell, too
+            f = np.ascontiguousarray(f.transpose(1, 0, 2)).transpose(0, 2, 1)[..., None]
+            y = np.matmul(res[:, :, :e - b, :e - b], f)[..., 0].transpose(2, 0, 1)
+            modes[b:e] = y.reshape(e - b, k * m)
+            y = y.reshape((e - b, k) + modes_shape)
             for axis in axes:  # irfftn axis by axis: a ring makes one irfft call
-                y = np.fft.ifft(y.reshape((e - b,) + modes_shape), axis=axis, norm="forward")
+                y = np.fft.ifft(y, axis=axis, norm="forward")
             x = hist[b:e] = np.fft.irfft(y, last, axis=-1, norm="forward")
             if not b:
                 hist[0] = x_init  # row 0 is X_0 itself and ends no run
                 x = x[1:]
             if not np.abs(x).max() <= limit:
-                cut = _cut(x.reshape(len(x), -1), b or 1, limit)
-                return Trajectory(hist[:cut].reshape(cut, -1).copy(), alpha, diverged=True)
-    return Trajectory(hist.reshape(t_max + 1, -1), alpha)
+                x = x.reshape(len(x), k, -1)
+                for j in np.flatnonzero(~(np.abs(x).max(axis=(0, 2)) <= limit)):
+                    cut[j] = _cut(x[:, j], b or 1, limit)
+                    cols_j = slice(j * m, (j + 1) * m)
+                    c[cols_j] = y0[cols_j] = modes[:, cols_j] = 0.0
+                if None not in cut:
+                    break
+    for j, i in enumerate(run):
+        if cut[j] is None:
+            out[i] = Trajectory(np.ascontiguousarray(hist[:, j].reshape(t_max + 1, -1)), alpha)
+        else:
+            out[i] = Trajectory(hist[:cut[j], j].reshape(cut[j], -1).copy(), alpha, diverged=True)
+    return out
 
 
 def simulate_linear(
@@ -433,13 +477,33 @@ def simulate_linear(
     t_max = check_run(horizon, shape, modes)
     if not modes:
         return _run(a, lambda x: mat @ x - x, x_init, t_max, cutoff)
-    traj = _run_modes(a, coupling.first_column(-1.0), x_init, t_max, cutoff)
-    if traj is not None:
-        return traj
-    # the step loop, G(X) = (A - I) X as the stencil's sum of shifted copies of X: no dense matrix
-    sites, axes = np.arange(n).reshape(shape), tuple(range(len(shape)))
+    traj = _run_modes(a, coupling.first_column(-1.0)[None], x_init[None], t_max, cutoff)[0]
+    return traj if traj is not None else _stencil_run(a, coupling, x_init, t_max, cutoff)
+
+
+def _stencil_run(alpha: float, coupling: Circulant, x_init: np.ndarray, t_max: int, cutoff: float) -> Trajectory:
+    """The step loop with G(X) = (A - I) X as the stencil's sum of shifted copies of X: no dense matrix."""
+    shape = coupling.shape
+    sites, axes = np.arange(math.prod(shape)).reshape(shape), tuple(range(len(shape)))
     terms = [(c, np.roll(sites, [-v for v in k], axes).ravel()) for k, c in coupling.stencil.items()]
-    return _run(a, lambda x: sum(c * x[nb] for c, nb in terms) - x, x_init, t_max, cutoff)
+    return _run(alpha, lambda x: sum(c * x[nb] for c, nb in terms) - x, x_init, t_max, cutoff)
+
+
+def _linear_cells(alpha: float, shape: tuple, t_max: int, cells):
+    """Trajectories of linear circulant cells on one lattice ``shape``, in order.
+
+    ``cells`` yields (coupling, initial state) pairs.  They run in groups
+    of at most _GROUP_BYTES, as ``check_run`` counts a run, one mode-space
+    run per group; a cell whose resolvent overflows takes the step loop
+    on its own.  Each trajectory is bit for bit ``simulate_linear``'s.
+    """
+    group = max(1, _GROUP_BYTES // _run_bytes(t_max, shape, True))
+    cells = iter(cells)
+    while part := list(itertools.islice(cells, group)):
+        cols = np.stack([coupling.first_column(-1.0) for coupling, _ in part])
+        runs = _run_modes(alpha, cols, np.stack([x0 for _, x0 in part]), t_max, DIVERGENCE_CUTOFF)
+        for (coupling, x0), traj in zip(part, runs):
+            yield traj if traj is not None else _stencil_run(alpha, coupling, x0, t_max, DIVERGENCE_CUTOFF)
 
 
 def simulate_nonlinear(
@@ -536,17 +600,28 @@ def _sweep_maps(mode: str, p1: float, p2: float):
 def _spectral_margins(mode: str, alpha: float, n: int, p1s, p2s) -> np.ndarray:
     """Worst eigenvalue margin of each logistic-mode cell, in row-major order.
 
-    Spectra go to the boundary in blocks of about ``_SPECTRUM_BLOCK``
-    eigenvalues, which bounds the memory of large grids.
+    A cell linearizes at the origin to the ring (a0, a1, a2): a1 from mu
+    alone, a0 and a2 from delta alone.  Its spectrum is
+    ``circulant_eigenvalues``' closed form for that ring, (a1, -0.0) plus
+    the mode table times (a2 + a0, a2 - a0), taken here for a block of
+    cells at once, so it is bit for bit the same.  Blocks of about
+    ``_SPECTRUM_BLOCK`` eigenvalues bound the memory of large grids.
     """
-    specs = [CirculantSpec(*linearize_at(*_sweep_maps(mode, p1, p2), 0.0), n) for p1 in p1s for p2 in p2s]
-    n = specs[0].shape[0]
-    rows = max(1, _SPECTRUM_BLOCK // n)
-    blocks = (
-        np.concatenate([circulant_eigenvalues(spec).eigenvalues for spec in specs[i:i + rows]])
-        for i in range(0, len(specs), rows)
-    )
-    return np.concatenate([stability.curve_margin(lam, alpha).reshape(-1, n).max(axis=1) for lam in blocks])
+    if int(n) < 1:  # the message a Circulant of that side gives
+        raise ValueError(f"lattice sides must be positive integers, got {(int(n),)!r}")
+    table = _trig_table(int(n))
+    a1 = np.array([linearize_at(*_sweep_maps(mode, p1, 0.0), 0.0)[1] for p1 in p1s])
+    a0, _, a2 = np.array([linearize_at(*_sweep_maps(mode, 0.0, p2), 0.0) for p2 in p2s]).T
+    base = np.column_stack((a1, np.full(len(a1), -0.0)))[:, None]  # (c_0, -0.0) per mu
+    pq = np.column_stack((a2 + a0, a2 - a0))[:, None]  # (c_1 + c_-1, c_1 - c_-1) per delta
+    rows = max(1, _SPECTRUM_BLOCK // len(table))
+    cells = np.arange(len(p1s) * len(p2s))
+    margins = []
+    for start in range(0, len(cells), rows):
+        i, k = np.divmod(cells[start:start + rows], len(p2s))
+        lam = (base[i] + table * pq[k]).view(complex)[..., 0]  # (cells, n)
+        margins.append(stability._spectrum_curve_margin(lam, alpha).max(axis=1))
+    return np.concatenate(margins)
 
 
 def sweep(
@@ -569,11 +644,14 @@ def sweep(
     logistic-cubic and logistic-circle (p1 = mu, p2 = delta, classified
     at the origin equilibrium).  Analytic margins are computed for all
     cells at once, not cell by cell.  ``simulate=True`` adds the
-    empirical verdict of a seeded run per cell, run one after another;
-    cell (i, k) draws its initial state as seeded_state(n, 0.0,
-    amplitude, (seed, i, k)).  Before any margin or run, a simulated
-    sweep raises ValueError unless amplitude > 0, ``check_run`` accepts
-    the horizon, window >= 1 and horizon >= 4 window.  Verdicts use
+    empirical verdict of a seeded run per cell; cell (i, k) draws its
+    initial state as seeded_state(n, 0.0, amplitude, (seed, i, k)).
+    Linear cells (symmetric, asymmetric) run together, in mode-space runs
+    of groups of cells, and each gets the trajectory of its run alone, bit
+    for bit; nonlinear cells run one after another.  Before any margin or
+    run, a simulated sweep raises ValueError unless amplitude > 0,
+    ``check_run`` accepts the horizon, window >= 1 and horizon >= 4
+    window.  Verdicts use
     ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
     ``threads`` is accepted and ignored.  NaN parameters raise ValueError.
     """
@@ -592,7 +670,8 @@ def sweep(
     if simulate:  # the settings of every run, checked before any margin or run
         if not amplitude > 0.0:
             raise ValueError("amplitude must be positive")
-        _window(check_run(horizon, (n,), modes=mode in ("symmetric", "asymmetric")), window)
+        t_max = check_run(horizon, (int(n),), modes=mode in ("symmetric", "asymmetric"))
+        _window(t_max, window)
     if cells == 0:
         return []
 
@@ -606,22 +685,19 @@ def sweep(
     else:
         margins = _spectral_margins(mode, a, n, p1s, p2s)
 
-    def empirical_cell(i: int, k: int, p1: float, p2: float) -> str:
-        x0 = seeded_state(n, 0.0, amplitude, (seed, i, k))
-        if mode == "symmetric":
-            traj = simulate_linear(a, CirculantSpec(p1, p2, p1, n), x0, horizon)
-        elif mode == "asymmetric":
-            traj = simulate_linear(a, CirculantSpec(-p2, p1, p2, n), x0, horizon)
+    empirical = itertools.repeat(None)
+    if simulate:  # lazily, so that only one group of runs is alive at a time
+        grid = itertools.product(range(len(p1s)), range(len(p2s)))
+        starts = (seeded_state(n, 0.0, amplitude, (seed, i, k)) for i, k in grid)
+        params = itertools.product(p1s, p2s)
+        if mode in ("symmetric", "asymmetric"):
+            weights = ((p1, p2, p1) if mode == "symmetric" else (-p2, p1, p2) for p1, p2 in params)
+            rings = (CirculantSpec(*ring, n) for ring in weights)
+            trajs = _linear_cells(a, (int(n),), t_max, zip(rings, starts))
         else:
-            f0, f1, f2 = _sweep_maps(mode, p1, p2)
-            traj = simulate_nonlinear(a, f0, f1, f2, x0, horizon)
-        return classify_trajectory(traj, window)
-
-    grid = itertools.product(enumerate(p1s), enumerate(p2s))
+            trajs = (simulate_nonlinear(a, *_sweep_maps(mode, p1, p2), x0, t_max) for (p1, p2), x0 in zip(params, starts))
+        empirical = (classify_trajectory(traj, window) for traj in trajs)
     return [
-        SweepCell(
-            p1, p2, stability.margin_status(m),
-            empirical_cell(i, k, p1, p2) if simulate else None, m,
-        )
-        for ((i, p1), (k, p2)), m in zip(grid, margins.tolist())
+        SweepCell(p1, p2, stability.margin_status(m), verdict, m)
+        for (p1, p2), m, verdict in zip(itertools.product(p1s, p2s), margins.tolist(), empirical)
     ]

@@ -13,7 +13,6 @@ eigenvalues carry an imaginary part equal to 0.0 (+0.0 or -0.0).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -155,20 +154,39 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
+    def canonical_order(self) -> np.ndarray:
+        """Indices that sort the eigenvalues by real part, then imaginary part."""
+        return np.lexsort((self.eigenvalues.imag, self.eigenvalues.real))
+
     def canonical(self) -> np.ndarray:
         """Eigenvalues sorted by real part, then imaginary part."""
-        vals = self.eigenvalues
-        order = np.lexsort((vals.imag, vals.real))
-        return vals[order]
+        return self.eigenvalues[self.canonical_order()]
 
 
-@functools.lru_cache(maxsize=16)
+_TABLE_CACHE_BYTES = 1 << 26  # bytes of mode tables kept for reuse
+_tables: dict = {}  # n -> mode table, least recently used first
+
+
 def _trig_table(n: int) -> np.ndarray:
     """Read-only rows (cos, sin) of 2 pi l / n, l < n; row n - l is row l with its sine negated.
 
     Every closed-form spectrum and symmetric-region margin reads its mode
-    values here, so a side above SITE_CAP raises ValueError before any work.
+    values here, so a side above SITE_CAP raises ValueError before any
+    work.  The most recently used tables stay cached while together they
+    take at most _TABLE_CACHE_BYTES; a larger table is built on each call.
     """
+    table = _tables.pop(n, None)
+    if table is None:
+        table = _mode_table(n)
+    _tables[n] = table
+    kept = sum(t.nbytes for t in _tables.values())
+    while kept > _TABLE_CACHE_BYTES:
+        kept -= _tables.pop(next(iter(_tables))).nbytes
+    return table
+
+
+def _mode_table(n: int) -> np.ndarray:
+    """``_trig_table(n)`` built afresh."""
     if n > SITE_CAP:
         raise ValueError(f"{n} sites along one axis exceed the cap of {SITE_CAP}")
     half, m = n // 2 + 1, (n - 1) // 2

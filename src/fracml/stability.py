@@ -18,6 +18,7 @@ inequalities, so points within a small band of the boundary report
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -199,6 +200,10 @@ _CHUNK = 4096  # points per block: bounds the (points x seeds) distance table
 # Newton stops once no step in v exceeds this; the error of its quadratic
 # model is then of order step^3
 _NEWTON_TOL = 1e-8
+_NEWTON_STEPS = 60
+# below this many points numpy's cost per call outweighs work saved on
+# points: finding repeated ones, or dropping stopped ones from the arrays
+_BULK = 64
 
 
 def _locus(v: np.ndarray, a: float):
@@ -221,15 +226,18 @@ def _locus(v: np.ndarray, a: float):
     return v * u, u * m, z2
 
 
+@functools.lru_cache(maxsize=32)
 def _seeds(a: float):
-    """Seed parameters, uniform in v and in t, and lambda - 1 at each.
+    """Seed parameters, uniform in v and in t, and lambda - 1 at each; read-only, cached per order.
 
     The t seeds sit at half steps, so they never repeat a v seed at
     alpha = 1, where v and t / pi coincide.
     """
     steps = np.arange(_SEED_STEPS + 1.0)
     v = np.sort(np.concatenate((steps / _SEED_STEPS, ((steps[:-1] + 0.5) / _SEED_STEPS) ** a)))
-    return v, _locus(v, a)[0]
+    z = _locus(v, a)[0]
+    v.flags.writeable = z.flags.writeable = False
+    return v, z
 
 
 def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
@@ -244,7 +252,9 @@ def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
     last = len(seeds) - 1
     pc = p[:, None]
     rows = np.arange(len(p))[:, None]
-    d = (seed_z.real - pc.real) ** 2 + w * (seed_z.imag - pc.imag) ** 2
+    # w * x is x itself at w = 1 (the eigenvalue plane), so that product is skipped there
+    weigh = (lambda x: x) if w == 1.0 else (lambda x: w * x)
+    d = (seed_z.real - pc.real) ** 2 + weigh((seed_z.imag - pc.imag) ** 2)
     k = np.empty((len(p), 2), dtype=np.intp)
     k[:, 0] = d.argmin(axis=1)
     local = np.ones(d.shape, dtype=bool)
@@ -262,13 +272,15 @@ def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
     num = (v - lo) ** 2 * (d1 - d2) - (hi - v) ** 2 * (d1 - d0)
     den = (v - lo) * (d1 - d2) + (hi - v) * (d1 - d0)
     v = np.minimum(np.maximum(v - 0.5 * np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0), lo), hi)
-    for _ in range(60):
+    best = np.empty(len(p))
+    live = np.arange(len(p))  # the points still refined, one row each of v, lo, hi and pc
+    for it in range(_NEWTON_STEPS):
         z, z1, z2 = _locus(v, a)
         e = z - pc
-        dist = e.real**2 + w * e.imag**2
-        g = e.real * z1.real + w * e.imag * z1.imag  # half the derivative in v
-        gauss = z1.real**2 + w * z1.imag**2
-        h = gauss + e.real * z2.real + w * e.imag * z2.imag  # half the second
+        dist = e.real**2 + weigh(e.imag**2)
+        g = e.real * z1.real + weigh(e.imag) * z1.imag  # half the derivative in v
+        gauss = z1.real**2 + weigh(z1.imag**2)
+        h = gauss + e.real * z2.real + weigh(e.imag) * z2.imag  # half the second
         np.copyto(lo, v, where=g < 0.0)
         np.copyto(hi, v, where=g > 0.0)
         newton = h > 0.0
@@ -276,12 +288,35 @@ def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
         nxt = v - step
         newton &= (nxt >= lo) & (nxt <= hi)
         nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-        if (np.abs(nxt - v) <= _NEWTON_TOL).all():
+        near = np.abs(nxt - v) <= _NEWTON_TOL
+        if near.all() or it == _NEWTON_STEPS - 1:
+            best[live] = _settle(d1[live, 0], dist, g, step, newton)
             break
+        # a point stops once both its slots do, as it would in a call of its
+        # own.  Its v stays, so each later pass repeats its last one exactly,
+        # until enough points have stopped to be worth settling and dropping.
+        if len(v) == 1:
+            v = nxt  # a lone point that has not stopped
+            continue
+        stop = near.all(axis=1)
+        done = np.count_nonzero(stop)
+        if done >= _BULK and 2 * done >= len(stop):
+            best[live[stop]] = _settle(d1[live[stop], 0], dist[stop], g[stop], step[stop], newton[stop])
+            go = ~stop
+            live, nxt, lo, hi, pc = live[go], nxt[go], lo[go], hi[go], pc[go]
+        elif done:
+            np.copyto(nxt, v, where=stop[:, None])
         v = nxt
-    # the minimum of the local quadratic model, exact to O(step^3)
+    return best
+
+
+def _settle(seed_dist, dist, g, step, newton):
+    """A point's squared distance: the nearer of its seed and the minima of its slots' quadratic models.
+
+    Each model's minimum is exact to O(step^3) where Newton's step converged.
+    """
     dist = np.where(newton & (np.abs(step) <= _NEWTON_TOL), np.maximum(dist - g * step, 0.0), dist)
-    return np.minimum(d1[:, 0], dist.min(axis=1))
+    return np.minimum(seed_dist, dist.min(axis=1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a far point's squared distance saturates at +inf
@@ -302,6 +337,10 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
     the open interval (1 - 2^alpha, 1).  Points at infinity get +inf, as
     do finite points beyond about 1e154, whose squared distance
     overflows; a NaN part gives NaN.  No warning is raised.
+
+    A point's margin does not depend on the other points of the call: it
+    is bit for bit the margin the point gets alone, so conjugate points
+    get equal margins however large the array.
     """
     a = validate_order(alpha)
     s = float(yscale)
@@ -322,6 +361,21 @@ def curve_margin(points, alpha: float, yscale: float = 1.0) -> np.ndarray:
         best[start:start + _CHUNK] = _nearest(flat[start:start + _CHUNK], a, s**-2, seeds)
     d = np.sqrt(best).reshape(z.shape)
     return np.where(far, np.inf, np.where(inside, -d, d))
+
+
+def _spectrum_curve_margin(values: np.ndarray, alpha: float) -> np.ndarray:
+    """``curve_margin`` of spectrum ``values``, each distinct folded value refined once.
+
+    A closed-form spectrum holds every complex mode with its conjugate,
+    which folds onto the same point, so about half its values repeat.
+    Below _BULK values, finding them costs more than it saves.
+    """
+    if values.size < _BULK:
+        return curve_margin(values, alpha)
+    folded = np.empty(values.shape, complex)
+    folded.real, folded.imag = values.real, np.abs(values.imag)
+    distinct, back = np.unique(folded, return_inverse=True)
+    return curve_margin(distinct, alpha)[back].reshape(values.shape)
 
 
 def _reject_nan(*params: float) -> None:
@@ -352,12 +406,21 @@ def classify_spectrum(spectrum, alpha: float, band: float = BOUNDARY_BAND) -> Ve
     eigenvalue wins over marginal ones.  Both follow from the worst
     (largest) margin, and its eigenvalue is the witness.
     """
+    return _worst(*_spectrum_margins(spectrum, alpha), band)
+
+
+def _spectrum_margins(spectrum, alpha: float):
+    """The eigenvalues of ``spectrum`` and their curve margins; an empty or NaN spectrum raises ValueError."""
     values = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=complex)
     if len(values) == 0:
         raise ValueError("cannot classify an empty spectrum")
     if np.isnan(values).any():
         raise ValueError("cannot classify a spectrum with NaN eigenvalues")
-    margins = curve_margin(values, alpha)
+    return values, _spectrum_curve_margin(values, alpha)
+
+
+def _worst(values: np.ndarray, margins: np.ndarray, band: float) -> Verdict:
+    """``classify_spectrum``'s verdict, read off the eigenvalues and their margins."""
     # conjugate pairs tie on margin; report the upper half-plane one
     k = np.argmax(np.where(margins == margins.max(), values.imag, -np.inf))
     margin = float(margins[k])

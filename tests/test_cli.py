@@ -31,6 +31,26 @@ def test_classify_unstable_ring(capsys):
     assert out.count("\n") == 4  # one line per eigenvalue plus the summary
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "9", "--a0", "0.2", "--a1", "-0.5", "--a2", "0.1"),
+    ("--mode", "asymmetric", "--n", "200", "--a1", "0.2", "--a2", "0.3"),
+])
+def test_classify_makes_one_margin_pass(capsys, monkeypatch, argv):
+    # the listing and the overall verdict read the same margins
+    calls = []
+    real = stability.curve_margin
+    monkeypatch.setattr(stability, "curve_margin", lambda *args: calls.append(len(args[0])) or real(*args))
+    code, out, _ = run(capsys, "classify", "--alpha", "0.4", *argv)
+    n = int(argv[argv.index("--n") + 1])
+    assert len(calls) == 1 and calls[0] <= n
+    monkeypatch.undo()
+    spec = (spectra.asymmetric_eigenvalues(0.2, 0.3, n) if "asymmetric" in argv
+            else spectra.circulant_eigenvalues(spectra.CirculantSpec(0.2, -0.5, 0.1, n)))
+    overall = stability.classify_spectrum(spec, 0.4)
+    assert out.splitlines()[-1].startswith(f"overall: {overall.status}  margin={overall.margin:.6g}")
+    assert code == _STATUS_EXIT[overall.status] and out.count("\n") == n + 1
+
+
 def test_classify_stable_ring(capsys):
     code, out, _ = run(
         capsys, "classify", "--alpha", "0.8",

@@ -461,6 +461,33 @@ def test_sweep_empirical_agrees_on_clear_cells():
             assert c.empirical in (GROWING, DIVERGED)
 
 
+@pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
+def test_logistic_sweep_margins_are_those_of_each_cells_closed_form(mode):
+    # the grid's spectra as one array give each cell the bits of its own
+    # ring's circulant_eigenvalues
+    from fracml.spectra import circulant_eigenvalues
+    from fracml.stability import curve_margin
+
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 8, 13):
+        p1s, p2s = rng.uniform(-1.0, 2.0, 4).tolist() + [0.0], rng.uniform(-1.5, 1.5, 3).tolist() + [0.0, -0.0]
+        alpha = rng.uniform(0.1, 1.0)
+        want = [
+            curve_margin(circulant_eigenvalues(CirculantSpec(*linearize_at(*dynamics._sweep_maps(mode, p1, p2), 0.0), n))
+                         .eigenvalues, alpha).max()
+            for p1 in p1s for p2 in p2s
+        ]
+        got = [c.margin for c in sweep(mode, alpha, n, p1s, p2s)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
+def test_logistic_sweep_refuses_a_ring_without_sites(mode):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="lattice sides must be positive integers"):
+            sweep(mode, 0.5, n, [0.1], [0.2])
+
+
 def test_sweep_rejects_bad_input():
     with pytest.raises(ValueError):
         sweep("diagonal", 0.5, 4, [0.0], [0.0])
@@ -478,7 +505,7 @@ def test_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
 
     for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
         monkeypatch.setattr(dynamics.stability, name, refuse)
-    monkeypatch.setattr(dynamics, "circulant_eigenvalues", refuse)
+    monkeypatch.setattr(dynamics, "_trig_table", refuse)
     for simulate in (False, True):
         with pytest.raises(ValueError, match="cap"):
             sweep(mode, 0.5, 10**12, [0.1], [0.2], simulate=simulate)

@@ -4,8 +4,9 @@
 mode, a block of rows at a time.  The same coupling given as an explicit
 matrix takes the step loop, which is the oracle here: random rings,
 tori, orders, initial states and horizons across block edges must give
-the same trajectory.  At order 1 both paths must reproduce the classical
-iteration.  On tori, the closed-form verdict and the simulated one must
+the same trajectory.  Cells run together in one mode-space run must get
+the bits of their runs alone.  At order 1 both paths must reproduce the
+classical iteration.  On tori, the closed-form verdict and the simulated one must
 not contradict each other.
 """
 
@@ -18,6 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from fracml import dynamics  # noqa: E402
 from fracml.dynamics import (  # noqa: E402
     _MODE_BLOCK, DECAYING, DIVERGED, GROWING, INCONCLUSIVE, classify_trajectory, seeded_state,
     simulate_linear,
@@ -143,3 +145,73 @@ def test_torus_verdicts_do_not_contradict():
         assert empirical in expected, (spec, alpha, verdict, empirical)
         counts[verdict.status] += 1
     assert counts[STABLE] >= 25 and counts["unstable"] >= 25, counts
+
+
+# each cell: a coupling scale (decaying, diverging, or so huge that its
+# resolvent overflows and it takes the step loop) and a ring or torus
+_CELL_SCALES = st.sampled_from([0.3, 1.5, 1e10])
+
+
+@PROPERTY
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    m=st.sampled_from([None, 1, 2, 3]),
+    alpha=st.floats(min_value=0.05, max_value=1.0),
+    horizon=st.sampled_from(HORIZONS),
+    scales=st.lists(_CELL_SCALES, min_size=1, max_size=6),
+    group_bytes=st.sampled_from([1, 1 << 23]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cells_run_together_get_their_serial_trajectories(n, m, alpha, horizon, scales, group_bytes, seed):
+    # one mode-space run for several cells (or one per cell at the smallest
+    # group) gives each cell the bits of simulate_linear on it alone
+    rng = np.random.default_rng(seed)
+    shape = (n,) if m is None else (n, m)
+    specs = [CirculantSpec(*rng.uniform(-s, s, 3), n) if m is None else BlockCirculantSpec(*rng.uniform(-s, s, 3), n, m)
+             for s in scales]
+    starts = [rng.uniform(-1.0, 1.0, math.prod(shape)) for _ in specs]
+    t_max = dynamics.check_run(horizon, shape, modes=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_GROUP_BYTES", group_bytes)
+        together = list(dynamics._linear_cells(alpha, shape, t_max, zip(specs, starts)))
+    assert len(together) == len(specs)
+    for spec, x0, traj in zip(specs, starts, together):
+        alone = simulate_linear(alpha, spec, x0, horizon)
+        assert traj.diverged == alone.diverged
+        assert traj.states.shape == alone.states.shape
+        assert traj.states.tobytes() == alone.states.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_simulated_sweep_cells_are_their_serial_runs(monkeypatch, mode):
+    # decaying, growing, diverging and huge-coupling cells in one sweep,
+    # checked against a run of each cell on its own
+    p1s, p2s = [0.02, -0.3, 6e9], [0.5, 0.999, 1.02, 1.4]
+    if mode == "asymmetric":
+        p1s, p2s = p2s, p1s
+    runs = []
+    real = dynamics._run_modes
+    monkeypatch.setattr(dynamics, "_run_modes", lambda *args: runs.append(len(args[1])) or real(*args))
+    cells = dynamics.sweep(mode, 0.6, 6, p1s, p2s, simulate=True, horizon=600, seed=9)
+    assert runs == [12]  # one mode-space run for the whole grid
+    monkeypatch.undo()
+    for idx, cell in enumerate(cells):
+        i, k = divmod(idx, len(p2s))
+        p1, p2 = p1s[i], p2s[k]
+        spec = CirculantSpec(p1, p2, p1, 6) if mode == "symmetric" else CirculantSpec(-p2, p1, p2, 6)
+        alone = simulate_linear(0.6, spec, seeded_state(6, 0.0, 0.01, (9, i, k)), 600)
+        assert cell.empirical == classify_trajectory(alone, 100)
+    assert {c.empirical for c in cells} >= {DECAYING, DIVERGED}
+
+
+def test_groups_of_cells_fit_the_group_bound(monkeypatch):
+    per_cell = dynamics._run_bytes(400, (8,), True)
+    monkeypatch.setattr(dynamics, "_GROUP_BYTES", 3 * per_cell + 1)
+    runs = []
+    real = dynamics._run_modes
+    monkeypatch.setattr(dynamics, "_run_modes", lambda *args: runs.append(len(args[1])) or real(*args))
+    grid = ("symmetric", 0.5, 8, [0.01, 0.02], [0.3, 0.5, 0.7, 1.1])
+    cells = dynamics.sweep(*grid, simulate=True, horizon=400)
+    assert runs == [3, 3, 2]
+    monkeypatch.undo()
+    assert cells == dynamics.sweep(*grid, simulate=True, horizon=400)

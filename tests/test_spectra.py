@@ -37,9 +37,31 @@ def test_mode_trig_exact_values():
 def test_mode_table_refuses_an_axis_above_the_site_cap(monkeypatch):
     # the uncached builder, so no table kept from another test answers instead
     monkeypatch.setattr(spectra, "SITE_CAP", 12)
-    assert spectra._trig_table.__wrapped__(12).shape == (12, 2)
+    assert spectra._mode_table(12).shape == (12, 2)
     with pytest.raises(ValueError, match="exceed the cap of 12"):
-        spectra._trig_table.__wrapped__(13)
+        spectra._mode_table(13)
+
+
+def test_mode_table_cache_holds_at_most_its_bound(monkeypatch):
+    # the cache's bookkeeping, with a stand-in builder that skips the
+    # 2 * 10**6 trigonometric calls of each real table
+    monkeypatch.setattr(spectra, "_tables", {})
+    monkeypatch.setattr(spectra, "_mode_table", lambda n: np.zeros((n, 2)))
+    sides = [2_000_000 + k for k in range(16)]
+    tables = [spectra._trig_table(n) for n in sides]
+    kept = spectra._tables
+    assert sum(t.nbytes for t in kept.values()) <= spectra._TABLE_CACHE_BYTES
+    assert list(kept) == sides[-len(kept):] and kept  # the most recent ones
+    assert spectra._trig_table(sides[-1]) is tables[-1]
+    big = spectra._TABLE_CACHE_BYTES // 16 + 1  # a table above the bound is not kept
+    spectra._trig_table(big)
+    assert big not in kept and sum(t.nbytes for t in kept.values()) <= spectra._TABLE_CACHE_BYTES
+
+
+def test_mode_table_cache_returns_the_built_table():
+    first = spectra._trig_table(37)
+    assert spectra._trig_table(37) is first
+    assert np.array_equal(first, spectra._mode_table(37)) and not first.flags.writeable
 
 
 def test_closed_form_refuses_an_axis_above_the_site_cap_before_any_mode(monkeypatch):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracml import stability
 from fracml.spectra import SITE_CAP, CirculantSpec, circulant_eigenvalues
 from fracml.stability import (
     MARGINAL,
@@ -279,6 +280,49 @@ def test_curve_margin_conjugates_are_bit_identical():
     for alpha, yscale in ((0.3, 1.0), (0.8, 1.7)):
         both = curve_margin(np.concatenate((lam, np.conj(lam[::-1]))), alpha, yscale)
         assert np.array_equal(both[:257].view(np.int64), both[257:][::-1].view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [None, 50])
+def test_curve_margin_of_a_point_does_not_depend_on_the_batch(monkeypatch, chunk):
+    # every point gets the bits it gets alone, whatever else is in the call
+    # and whichever block of the search it lands in
+    if chunk is not None:
+        monkeypatch.setattr(stability, "_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    for alpha, yscale in ((0.05, 1.0), (0.45, 1.0), (0.8, 1.3), (1.0, 0.4)):
+        wide = rng.uniform(-2.0, 2.5, 90) + 1j * rng.uniform(-2.0, 2.0, 90)
+        t = rng.uniform(0.0, 2.0 * math.pi, 30)
+        on = 1.0 + (2.0 * np.sin(0.5 * t)) ** alpha * np.exp(1j * (0.5 * alpha * math.pi + t * (1.0 - 0.5 * alpha)))
+        near = on + 10.0 ** rng.uniform(-9, -2, 30) * np.exp(1j * rng.uniform(-math.pi, math.pi, 30))
+        points = np.concatenate((wide, near, np.conj(wide[:20]), wide[:10], [1.0, complex(math.inf, 1.0)]))
+        points = points[rng.permutation(len(points))]
+        together = curve_margin(points, alpha, yscale)
+        alone = np.array([curve_margin(p, alpha, yscale) for p in points])
+        assert together.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("n", [5001, 6144, 8191])
+def test_conjugate_ring_modes_above_the_chunk_get_equal_margins(n):
+    # modes l and n - l are exact conjugates, and with n above the search's
+    # block of points they are refined in different blocks
+    assert n > stability._CHUNK
+    rng = np.random.default_rng(n)
+    lam = circulant_eigenvalues(CirculantSpec(*rng.uniform(-0.6, 0.6, 3), n)).eigenvalues
+    margins = curve_margin(lam, rng.uniform(0.2, 1.0))
+    assert margins[1:].tobytes() == margins[1:][::-1].tobytes()
+
+
+def test_spectrum_margins_refine_each_folded_value_once_with_the_same_bits():
+    # conjugate pairs and repeats are refined once; every value keeps the
+    # margin curve_margin gives it
+    rng = np.random.default_rng(8)
+    spectra = [circulant_eigenvalues(CirculantSpec(*rng.uniform(-0.6, 0.6, 3), n)).eigenvalues
+               for n in (1, 5, 63, 64, 65, 300)]
+    spectra.append(np.repeat(rng.uniform(-1, 2, 40) + 1j * rng.uniform(-1, 1, 40), 3))
+    for values in spectra:
+        alpha = rng.uniform(0.1, 1.0)
+        got = stability._spectrum_curve_margin(values, alpha)
+        assert got.tobytes() == curve_margin(values, alpha).tobytes()
 
 
 def test_curve_margin_shape_and_validation():
