@@ -32,7 +32,7 @@ import numpy as np
 
 from . import stability
 from .fractional import kernel_weights, memory_convolution, validate_order
-from .spectra import Circulant, CirculantSpec, _trig_table
+from .spectra import Circulant, CirculantSpec, _ring_spectra
 
 __all__ = [
     "HORIZON_CAP",
@@ -601,25 +601,19 @@ def _spectral_margins(mode: str, alpha: float, n: int, p1s, p2s) -> np.ndarray:
     """Worst eigenvalue margin of each logistic-mode cell, in row-major order.
 
     A cell linearizes at the origin to the ring (a0, a1, a2): a1 from mu
-    alone, a0 and a2 from delta alone.  Its spectrum is
-    ``circulant_eigenvalues``' closed form for that ring, (a1, -0.0) plus
-    the mode table times (a2 + a0, a2 - a0), taken here for a block of
-    cells at once, so it is bit for bit the same.  Blocks of about
-    ``_SPECTRUM_BLOCK`` eigenvalues bound the memory of large grids.
+    alone, a0 and a2 from delta alone.  The spectra of a block of cells
+    are built as one array, bit for bit each ring's
+    ``circulant_eigenvalues``.  Blocks of about ``_SPECTRUM_BLOCK``
+    eigenvalues bound the memory of large grids.
     """
-    if int(n) < 1:  # the message a Circulant of that side gives
-        raise ValueError(f"lattice sides must be positive integers, got {(int(n),)!r}")
-    table = _trig_table(int(n))
     a1 = np.array([linearize_at(*_sweep_maps(mode, p1, 0.0), 0.0)[1] for p1 in p1s])
     a0, _, a2 = np.array([linearize_at(*_sweep_maps(mode, 0.0, p2), 0.0) for p2 in p2s]).T
-    base = np.column_stack((a1, np.full(len(a1), -0.0)))[:, None]  # (c_0, -0.0) per mu
-    pq = np.column_stack((a2 + a0, a2 - a0))[:, None]  # (c_1 + c_-1, c_1 - c_-1) per delta
-    rows = max(1, _SPECTRUM_BLOCK // len(table))
+    rows = max(1, _SPECTRUM_BLOCK // max(1, int(n)))
     cells = np.arange(len(p1s) * len(p2s))
     margins = []
     for start in range(0, len(cells), rows):
         i, k = np.divmod(cells[start:start + rows], len(p2s))
-        lam = (base[i] + table * pq[k]).view(complex)[..., 0]  # (cells, n)
+        lam = _ring_spectra(a0[k], a1[i], a2[k], n)  # (cells, n)
         margins.append(stability._spectrum_curve_margin(lam, alpha).max(axis=1))
     return np.concatenate(margins)
 

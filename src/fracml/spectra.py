@@ -79,9 +79,7 @@ class Circulant:
     stencil: MappingProxyType = field(hash=False)
 
     def __post_init__(self):
-        shape = tuple(map(int, self.shape))
-        if not shape or min(shape) < 1:
-            raise ValueError(f"lattice sides must be positive integers, got {self.shape!r}")
+        shape = _sides(self.shape)
         stencil = {}
         for k, c in self.stencil.items():
             k = tuple(map(operator.index, k)) if isinstance(k, tuple) else (operator.index(k),)
@@ -118,6 +116,14 @@ class Circulant:
         for i, n in zip(np.indices(self.shape).reshape(len(self.shape), -1), self.shape):
             flat = flat * n + np.subtract.outer(i, i) % n
         return self.first_column().ravel()[flat]
+
+
+def _sides(shape) -> tuple:
+    """``shape`` as a tuple of ints; ValueError unless it has sides and all are positive."""
+    sides = tuple(map(int, shape))
+    if not sides or min(sides) < 1:
+        raise ValueError(f"lattice sides must be positive integers, got {shape!r}")
+    return sides
 
 
 def CirculantSpec(a0: float, a1: float, a2: float, n: int) -> Circulant:
@@ -204,7 +210,9 @@ def circulant_eigenvalues(spec: Circulant) -> Spectrum:
 
     lambda_l = c_0 + sum over pairs of (c_k + c_-k) cos(2 pi k l_a / n_a) + i (c_k - c_-k) sin(...).
     """
-    shape = spec.shape
+    shape, stencil = spec.shape, spec.stencil
+    if len(shape) == 1 and stencil.keys() == {(0,), (-1,), (1,)}:
+        return Spectrum(_ring_spectra(stencil[-1,], stencil[0,], stencil[1,], shape[0]), "analytic-circulant")
     vals, pairs = spec._terms  # vals: (re, im)
     for axis, k, pq in pairs:
         n = shape[axis]
@@ -213,6 +221,21 @@ def circulant_eigenvalues(spec: Circulant) -> Spectrum:
             table = table.reshape(tuple(n if a == axis else 1 for a in range(len(shape))) + (2,))
         vals = vals + table * pq
     return Spectrum(vals.view(complex).ravel(), "analytic-circulant" if len(shape) == 1 else "analytic-block")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ring_spectra(a0, a1, a2, n: int) -> np.ndarray:
+    """Closed-form spectra of three-term rings of n sites, shape (..., n) for weights broadcast to (...).
+
+    ``circulant_eigenvalues``' formula for one pair: (a1, -0.0) plus the
+    mode table times (a2 + a0, a2 - a0), so a ring's spectrum has the same
+    bits whether it is built alone or in a batch.
+    """
+    (n,) = _sides((n,))
+    a0, a1, a2 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (a0, a1, a2)))
+    base = np.stack((a1, np.full(a1.shape, -0.0)), axis=-1)[..., None, :]  # -0.0 keeps the sine term's sign
+    pq = np.stack((a2 + a0, a2 - a0), axis=-1)[..., None, :]
+    return (base + _trig_table(n) * pq).view(complex)[..., 0]
 
 
 def symmetric_eigenvalues(a1: float, a2: float, n: int) -> Spectrum:

@@ -200,9 +200,8 @@ _CHUNK = 4096  # points per block: bounds the (points x seeds) distance table
 # Newton stops once no step in v exceeds this; the error of its quadratic
 # model is then of order step^3
 _NEWTON_TOL = 1e-8
-_NEWTON_STEPS = 60
-# below this many points numpy's cost per call outweighs work saved on
-# points: finding repeated ones, or dropping stopped ones from the arrays
+# below this many values numpy's cost per call outweighs the work saved
+# by finding repeated ones
 _BULK = 64
 
 
@@ -252,9 +251,7 @@ def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
     last = len(seeds) - 1
     pc = p[:, None]
     rows = np.arange(len(p))[:, None]
-    # w * x is x itself at w = 1 (the eigenvalue plane), so that product is skipped there
-    weigh = (lambda x: x) if w == 1.0 else (lambda x: w * x)
-    d = (seed_z.real - pc.real) ** 2 + weigh((seed_z.imag - pc.imag) ** 2)
+    d = (seed_z.real - pc.real) ** 2 + w * (seed_z.imag - pc.imag) ** 2
     k = np.empty((len(p), 2), dtype=np.intp)
     k[:, 0] = d.argmin(axis=1)
     local = np.ones(d.shape, dtype=bool)
@@ -272,15 +269,13 @@ def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
     num = (v - lo) ** 2 * (d1 - d2) - (hi - v) ** 2 * (d1 - d0)
     den = (v - lo) * (d1 - d2) + (hi - v) * (d1 - d0)
     v = np.minimum(np.maximum(v - 0.5 * np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0), lo), hi)
-    best = np.empty(len(p))
-    live = np.arange(len(p))  # the points still refined, one row each of v, lo, hi and pc
-    for it in range(_NEWTON_STEPS):
+    for _ in range(60):
         z, z1, z2 = _locus(v, a)
         e = z - pc
-        dist = e.real**2 + weigh(e.imag**2)
-        g = e.real * z1.real + weigh(e.imag) * z1.imag  # half the derivative in v
-        gauss = z1.real**2 + weigh(z1.imag**2)
-        h = gauss + e.real * z2.real + weigh(e.imag) * z2.imag  # half the second
+        dist = e.real**2 + w * e.imag**2
+        g = e.real * z1.real + w * e.imag * z1.imag  # half the derivative in v
+        gauss = z1.real**2 + w * z1.imag**2
+        h = gauss + e.real * z2.real + w * e.imag * z2.imag  # half the second
         np.copyto(lo, v, where=g < 0.0)
         np.copyto(hi, v, where=g > 0.0)
         newton = h > 0.0
@@ -289,34 +284,15 @@ def _nearest(p: np.ndarray, a: float, w: float, seeds) -> np.ndarray:
         newton &= (nxt >= lo) & (nxt <= hi)
         nxt = np.where(newton, nxt, 0.5 * (lo + hi))
         near = np.abs(nxt - v) <= _NEWTON_TOL
-        if near.all() or it == _NEWTON_STEPS - 1:
-            best[live] = _settle(d1[live, 0], dist, g, step, newton)
+        if near.all():
             break
-        # a point stops once both its slots do, as it would in a call of its
-        # own.  Its v stays, so each later pass repeats its last one exactly,
-        # until enough points have stopped to be worth settling and dropping.
-        if len(v) == 1:
-            v = nxt  # a lone point that has not stopped
-            continue
-        stop = near.all(axis=1)
-        done = np.count_nonzero(stop)
-        if done >= _BULK and 2 * done >= len(stop):
-            best[live[stop]] = _settle(d1[live[stop], 0], dist[stop], g[stop], step[stop], newton[stop])
-            go = ~stop
-            live, nxt, lo, hi, pc = live[go], nxt[go], lo[go], hi[go], pc[go]
-        elif done:
-            np.copyto(nxt, v, where=stop[:, None])
+        # a point stops once both its slots do, as in a call of its own: its
+        # v stays, so each later pass repeats its last one exactly
+        np.copyto(nxt, v, where=near & near[:, ::-1])
         v = nxt
-    return best
-
-
-def _settle(seed_dist, dist, g, step, newton):
-    """A point's squared distance: the nearer of its seed and the minima of its slots' quadratic models.
-
-    Each model's minimum is exact to O(step^3) where Newton's step converged.
-    """
+    # the minimum of the local quadratic model, exact to O(step^3)
     dist = np.where(newton & (np.abs(step) <= _NEWTON_TOL), np.maximum(dist - g * step, 0.0), dist)
-    return np.minimum(seed_dist, dist.min(axis=1))
+    return np.minimum(d1[:, 0], dist.min(axis=1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a far point's squared distance saturates at +inf

@@ -505,7 +505,7 @@ def test_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
 
     for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
         monkeypatch.setattr(dynamics.stability, name, refuse)
-    monkeypatch.setattr(dynamics, "_trig_table", refuse)
+    monkeypatch.setattr(dynamics, "_ring_spectra", refuse)
     for simulate in (False, True):
         with pytest.raises(ValueError, match="cap"):
             sweep(mode, 0.5, 10**12, [0.1], [0.2], simulate=simulate)

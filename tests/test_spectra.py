@@ -68,6 +68,7 @@ def test_closed_form_refuses_an_axis_above_the_site_cap_before_any_mode(monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("mode values computed before the site cap")
 
+    spectra._trig_table(3)  # the torus's short side may come first; it is cached, not rebuilt
     monkeypatch.setattr(spectra, "mode_cosine", refuse)
     big = spectra.SITE_CAP + 1
     for spec in (CirculantSpec(0.1, 0.2, 0.3, big), BlockCirculantSpec(0.1, 0.2, 0.3, 3, big)):
@@ -129,6 +130,30 @@ def test_circulant_conjugate_closure_is_exact():
     vals = spec.eigenvalues
     for l in range(1, 11):
         assert vals[11 - l] == np.conj(vals[l])
+
+
+def test_ring_spectra_alone_and_batched_are_the_per_mode_formula():
+    # lambda_l = a1 + (a2 + a0) cos + i (-0.0 + (a2 - a0) sin), in Python floats,
+    # with mode n - l the conjugate of mode l; signed zeros included
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 4, 7, 12):
+        w = rng.normal(size=(8, 3))
+        w[rng.random(w.shape) < 0.2] = 0.0
+        w[rng.random(w.shape) < 0.2] = -0.0
+        want = []
+        for a0, a1, a2 in w:
+            row = []
+            for l in range(n):
+                j = min(l, n - l)
+                sin = mode_sine(j, n) if j == l else -mode_sine(j, n)
+                row.append(complex(a1 + mode_cosine(j, n) * (a2 + a0), -0.0 + sin * (a2 - a0)))
+            want.append(row)
+        want = np.array(want)
+        assert spectra._ring_spectra(*w.T, n).tobytes() == want.tobytes()
+        for (a0, a1, a2), row in zip(w, want):
+            assert circulant_eigenvalues(CirculantSpec(a0, a1, a2, n)).eigenvalues.tobytes() == row.tobytes()
+    with pytest.raises(ValueError, match="lattice sides must be positive integers"):
+        spectra._ring_spectra(0.1, 0.2, 0.3, 0)
 
 
 def test_circulant_matches_dense_and_numpy():
