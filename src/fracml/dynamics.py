@@ -233,13 +233,19 @@ def seeded_state(
     Centered in [-amplitude, amplitude] by default; ``positive=True``
     draws from (0, amplitude] instead, for basins that only open on one
     side.  ``seed`` is an int or a tuple of ints, as default_rng takes.
+    An amplitude outside 0 < amplitude < inf raises ValueError.
     """
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
+    _check_amplitude(amplitude)
     rng = np.random.default_rng(seed)
     if positive:
         return base + amplitude * (1.0 - rng.random(int(n)))
     return base + rng.uniform(-amplitude, amplitude, int(n))
+
+
+def _check_amplitude(amplitude: float) -> None:
+    """Refuse an amplitude that is not positive and finite: NaN or inf draws no state."""
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {amplitude!r}")
 
 
 def _mode_block(t_max: int) -> int:
@@ -585,7 +591,7 @@ class SweepCell:
 _SWEEP_MODES = ("symmetric", "asymmetric", "logistic-cubic", "logistic-circle")
 ANALYTIC_CELL_CAP = 1_000_000
 SIMULATED_CELL_CAP = 10_000
-SWEEP_MODE_CAP = 100_000_000  # n * cells: each cell's margin weighs every mode of its ring
+SWEEP_MODE_CAP = 100_000_000  # n * cells, in every mode: a logistic cell's margin weighs every mode of its ring
 _SPECTRUM_BLOCK = 1 << 16  # eigenvalues per boundary call in a logistic-mode sweep
 
 
@@ -643,7 +649,7 @@ def sweep(
     Linear cells (symmetric, asymmetric) run together, in mode-space runs
     of groups of cells, and each gets the trajectory of its run alone, bit
     for bit; nonlinear cells run one after another.  Before any margin or
-    run, a simulated sweep raises ValueError unless amplitude > 0,
+    run, a simulated sweep raises ValueError unless 0 < amplitude < inf,
     ``check_run`` accepts the horizon, window >= 1 and horizon >= 4
     window.  Verdicts use
     ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
@@ -662,8 +668,7 @@ def sweep(
     if int(n) * cells > SWEEP_MODE_CAP:
         raise ValueError(f"{cells} cells of {n} sites exceed the cap of {SWEEP_MODE_CAP} modes")
     if simulate:  # the settings of every run, checked before any margin or run
-        if not amplitude > 0.0:
-            raise ValueError("amplitude must be positive")
+        _check_amplitude(amplitude)
         t_max = check_run(horizon, (int(n),), modes=mode in ("symmetric", "asymmetric"))
         _window(t_max, window)
     if cells == 0:

@@ -176,9 +176,8 @@ _tables: dict = {}  # n -> mode table, least recently used first
 def _trig_table(n: int) -> np.ndarray:
     """Read-only rows (cos, sin) of 2 pi l / n, l < n; row n - l is row l with its sine negated.
 
-    Every closed-form spectrum and symmetric-region margin reads its mode
-    values here, so a side above SITE_CAP raises ValueError before any
-    work.  The most recently used tables stay cached while together they
+    Every closed-form spectrum reads its mode values here, so a side
+    above SITE_CAP raises ValueError before any work.  The most recently used tables stay cached while together they
     take at most _TABLE_CACHE_BYTES; a larger table is built on each call.
     """
     table = _tables.pop(n, None)

@@ -9,9 +9,10 @@ modulus (2 sin(t/2))^alpha and argument alpha pi/2 + t (1 - alpha/2),
 which increases strictly with t, so every ray from the cusp meets it
 once.  Membership is therefore decided exactly, ray by ray, and the
 margin is the exact Euclidean distance to the curve.  Coupling-plane
-curves are y-scaled copies of the same curve; the symmetric coupling
-region is decided by exact half-plane inequalities.  Sampled curves
-exist only for export.  Theorems behind these regions use strict
+curves are y-scaled copies of the same curve.  The symmetric coupling
+region is the quadrilateral cut out by the half-planes of its two
+binding modes, and its margin is the exact distance to it.  Sampled
+curves exist only for export.  Theorems behind these regions use strict
 inequalities, so points within a small band of the boundary report
 ``marginal``, never ``stable``.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import validate_order
-from .spectra import _trig_table, mode_sine
+from .spectra import mode_cosine, mode_sine
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -66,9 +67,13 @@ class Verdict:
     """Outcome of a membership test.
 
     ``margin`` is a signed distance to the boundary, negative inside the
-    stable set and positive outside; to a curve it is the exact Euclidean
-    distance.  The status is read from it (see :func:`margin_status`):
-    within the band of zero it is marginal, otherwise its sign decides.
+    stable set and positive outside.  For an eigenvalue it is the exact
+    Euclidean distance to the curve.  For a coupling region it is the
+    region's ``signed_margin``: the exact distance to the symmetric
+    quadrilateral, and for the antisymmetric region the larger of its
+    strip and curve distances.  The status is read from it (see
+    :func:`margin_status`): within the band of zero it is marginal,
+    otherwise its sign decides.
     ``witness`` carries the offending eigenvalue when one exists.
     """
 
@@ -423,14 +428,13 @@ class Quadrilateral(_Region):
     """Stable coupling region of a symmetric ring in the (a2, a1) plane.
 
     ``vertices`` lists Q1..Q4 counterclockwise starting at (0, 1).  The
-    region itself is the intersection of the exact half-planes
-    1 - 2^alpha < a1 + 2 a2 cos(2 pi j / n) < 1 over the distinct modes
-    j <= n/2, their cosines read from the ring's mode table; vertices
-    are derived data for display.  ``n`` is None for the large-lattice
-    limit, where the binding cosines are +-1.  Points are (a2, a1).
-    Membership is exact unless 1 - 2^alpha rounds to 0 (alpha < 1.6e-16),
-    where the margin of a1 + 2 a2 cos = 5e-324 rounds to -0.0 and reads
-    outside.
+    region is the set where 1 - 2^alpha < a1 + 2 a2 cos(2 pi j / n) < 1
+    for every mode j.  That value is linear in the cosine, so only the
+    extreme cosines bind: 1 (mode 0) and cos(2 pi (n//2) / n), which is
+    -1 for even n and in the large-lattice limit (``n`` None).  Points
+    are (a2, a1).  Membership is exact unless 1 - 2^alpha rounds to 0
+    (alpha < 1.6e-16), where the margin of a1 + 2 a2 cos = 5e-324 rounds
+    to -0.0 and reads outside.
     """
 
     alpha: float
@@ -438,18 +442,38 @@ class Quadrilateral(_Region):
     vertices: tuple[tuple[float, float], ...]
     n: int | None = None
 
-    def _cosines(self):
-        return (1.0, -1.0) if self.n is None else _trig_table(self.n)[: self.n // 2 + 1, 0]
-
+    @np.errstate(over="ignore", invalid="ignore")  # infinite points give inf - inf; their margin is set below
     def signed_margin(self, a2, a1):
-        """Largest violation distance over all half-planes (negative inside); scalars or arrays."""
+        """Signed Euclidean distance to the quadrilateral (negative inside); scalars or arrays.
+
+        Inside, it is minus the distance to the nearest facet line, read
+        from the two binding modes.  Outside, it is the distance to the
+        nearest point of the quadrilateral, the meaning a curve margin has:
+        to a facet line where the foot of the perpendicular falls on its
+        edge, else to the nearest vertex.  Points at infinity get +inf and
+        a NaN part gives NaN, with no warning.
+        """
         lo = 1.0 - 2.0**self.alpha
-        worst = -math.inf
-        for c in self._cosines():
+        lines = []  # signed distances past the upper and the lower line of modes 0 and n//2
+        for c in (1.0, -1.0 if self.n is None else mode_cosine(self.n // 2, self.n)):
             m = a1 + 2.0 * a2 * c
             scale = math.sqrt(1.0 + 4.0 * c * c)
-            worst = np.maximum(worst, np.maximum((m - 1.0) / scale, (lo - m) / scale))
-        return worst
+            lines.append(((m - 1.0) / scale, (lo - m) / scale))
+        (top, bottom), (top_n, bottom_n) = lines
+        facet = np.maximum(np.maximum(top, bottom), np.maximum(top_n, bottom_n))
+        dist = math.inf
+        q = self.vertices
+        # both upper lines meet at Q1 and both lower ones at Q3, so the
+        # edges Q1Q2, Q2Q3, Q3Q4 and Q4Q1 lie on these lines
+        for (x0, y0), (x1, y1), line in zip(q, q[1:] + q[:1], (top_n, bottom, bottom_n, top)):
+            ex, ey = x1 - x0, y1 - y0
+            dx, dy = a2 - x0, a1 - y0
+            along = dx * ex + dy * ey
+            # the line counts where the foot of the perpendicular falls on the edge, the start vertex always
+            foot = np.where((along > 0.0) & (along < ex * ex + ey * ey), np.abs(line), math.inf)
+            dist = np.minimum(dist, np.minimum(np.hypot(dx, dy), foot))
+        far = (np.isinf(a2) | np.isinf(a1)) & ~(np.isnan(a2) | np.isnan(a1))
+        return np.where(far, math.inf, np.where(facet > 0.0, dist, facet))[()]
 
 
 def symmetric_region(alpha: float, n: int) -> Quadrilateral:

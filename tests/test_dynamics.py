@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracml import dynamics
+from fracml import dynamics, spectra
 from fracml.dynamics import (
     _NEAR,
     DECAYING,
@@ -39,6 +39,7 @@ from fracml.dynamics import (
 )
 from fracml.fractional import kernel_weights, memory_convolution
 from fracml.spectra import SITE_CAP, Circulant, CirculantSpec
+from fracml.stability import symmetric_region
 
 
 def test_map_values():
@@ -121,8 +122,14 @@ def test_seeded_state_reproducible():
     assert np.max(np.abs(a)) <= 0.01
     c = seeded_state(6, base=0.5, amplitude=0.1, seed=5, positive=True)
     assert np.all(c > 0.5) and np.all(c <= 0.6)
-    with pytest.raises(ValueError):
-        seeded_state(4, amplitude=0.0)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, 0.0, -0.01])
+def test_seeded_state_refuses_an_amplitude_not_positive_and_finite(amplitude, positive):
+    # nan and inf once raised OverflowError, or drew nan/inf states with positive=True
+    with pytest.raises(ValueError, match="amplitude must be positive and finite"):
+        seeded_state(3, amplitude=amplitude, positive=positive)
 
 
 def test_simulate_linear_alpha_one_is_matrix_power():
@@ -514,7 +521,7 @@ def test_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
         sweep(mode, 0.5, n, np.zeros(100), np.zeros(101))
 
 
-@pytest.mark.parametrize("mode", ["symmetric", "logistic-cubic", "logistic-circle"])
+@pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
 def test_sweep_refuses_a_ring_above_the_site_cap_before_any_margin(monkeypatch, mode):
     # one cell is far inside SWEEP_MODE_CAP; the ring's mode table is not
     def refuse(*args, **kwargs):
@@ -525,6 +532,16 @@ def test_sweep_refuses_a_ring_above_the_site_cap_before_any_margin(monkeypatch, 
         sweep(mode, 0.5, SITE_CAP + 1, [0.1], [0.2])
 
 
+def test_symmetric_sweep_decides_a_ring_above_the_site_cap_without_a_mode_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symmetric sweep built a mode table")
+
+    monkeypatch.setattr(spectra, "_mode_table", refuse)
+    (cell,) = sweep("symmetric", 0.5, SITE_CAP + 1, [0.1], [0.2])
+    assert cell.analytic == "stable"
+    assert cell.margin == symmetric_region(0.5, SITE_CAP + 1).signed_margin(0.1, 0.2)
+
+
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
 @pytest.mark.parametrize("n, opts, message", [
     (4, dict(horizon=100_000, window=30_000), "horizon 100000 too short for window 30000; need >= 120000"),
@@ -533,17 +550,20 @@ def test_sweep_refuses_a_ring_above_the_site_cap_before_any_margin(monkeypatch, 
     (4, dict(horizon=0), "horizon must be >= 1"),
     (4, dict(horizon=HORIZON_CAP + 1), f"exceeds the cap of {HORIZON_CAP} steps"),
     (10**6, {}, "MiB, above the cap"),
-    (4, dict(amplitude=0.0), "amplitude must be positive"),
-    (4, dict(amplitude=math.nan), "amplitude must be positive"),
+    (4, dict(amplitude=0.0), "amplitude must be positive and finite"),
+    (4, dict(amplitude=-0.01), "amplitude must be positive and finite"),
+    (4, dict(amplitude=math.nan), "amplitude must be positive and finite"),
+    (4, dict(amplitude=math.inf), "amplitude must be positive and finite"),
 ], ids=["window-too-long", "horizon-too-short", "window-0", "horizon-0", "horizon-cap",
-        "memory-cap", "amplitude-0", "amplitude-nan"])
+        "memory-cap", "amplitude-0", "amplitude-negative", "amplitude-nan", "amplitude-inf"])
 def test_simulated_sweep_checks_its_run_settings_before_any_work(monkeypatch, mode, n, opts, message):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the run settings were checked")
 
-    for name in ("simulate_linear", "simulate_nonlinear"):
+    for name in ("simulate_linear", "simulate_nonlinear", "_linear_cells", "_ring_spectra"):
         monkeypatch.setattr(dynamics, name, refuse)
-    monkeypatch.setattr(dynamics.stability, "curve_margin", refuse)
+    for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
+        monkeypatch.setattr(dynamics.stability, name, refuse)
     with pytest.raises(ValueError, match=re.escape(message)):
         sweep(mode, 0.5, n, [0.1], [0.2], simulate=True, **opts)
     monkeypatch.undo()

@@ -1,13 +1,17 @@
 """Single implementations against the separate copies they replaced.
 
 Ring spectra come from the one circulant formula, negation is scaling
-by -1.0, quadrilateral membership is the sign of its margin, and the
-large-lattice symmetric region reuses the even-ring vertices.  Each
-reference below is the body that used to implement the same decision on
-its own; random inputs from hypothesis must give the same values.
+by -1.0, quadrilateral membership is the sign of its margin, that
+margin reads two modes and keeps the all-mode half-plane value inside
+the region, and the large-lattice symmetric region reuses the even-ring
+vertices.  Each reference below is the body that used to implement the
+same decision on its own; random inputs from hypothesis must give the
+same values.
 """
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,9 +78,29 @@ def reference_negated_derivative(base, x):
     return -eval_map_derivative(base, x)
 
 
+@functools.lru_cache(maxsize=4)
+def reference_cosines(n):
+    # every mode j <= n/2, one mode_cosine each; the large-lattice limit has +-1
+    return (1.0, -1.0) if n is None else tuple(mode_cosine(j, n) for j in range(n // 2 + 1))
+
+
 def reference_contains(quad, a2, a1):
     lo = 1.0 - 2.0**quad.alpha
-    return all(lo < a1 + 2.0 * a2 * c < 1.0 for c in quad._cosines())
+    return all(lo < a1 + 2.0 * a2 * c < 1.0 for c in reference_cosines(quad.n))
+
+
+def reference_margin(quad, a2, a1):
+    # the largest signed distance over every mode's two half-planes, for
+    # arrays of finite points, in blocks of modes
+    lo = 1.0 - 2.0**quad.alpha
+    cosines = np.array(reference_cosines(quad.n))
+    worst = np.full(a2.shape, -np.inf)
+    for start in range(0, len(cosines), 1 << 14):
+        c = cosines[start:start + (1 << 14)]
+        m = a1[:, None] + 2.0 * a2[:, None] * c
+        scale = np.sqrt(1.0 + 4.0 * c * c)
+        worst = np.maximum(worst, np.maximum((m - 1.0) / scale, (lo - m) / scale).max(axis=1))
+    return worst
 
 
 def reference_thermodynamic_vertices(a):
@@ -182,6 +206,68 @@ def test_quadrilateral_contains_is_the_strict_half_planes(alpha, n, a2, a1):
     assert quad.contains(a2, a1) == reference_contains(quad, a2, a1)
     thermo = thermodynamic_region(alpha, "symmetric")
     assert thermo.contains(a2, a1) == reference_contains(thermo, a2, a1)
+
+
+def _symmetric_region(alpha, n):
+    return thermodynamic_region(alpha, "symmetric") if n is None else symmetric_region(alpha, n)
+
+
+def _check_margins(quad, a2, a1):
+    # inside: bit for bit the all-half-plane value; outside: at least that
+    # value, less a few ulps, and at most the distance to the nearest vertex
+    got = quad.signed_margin(a2, a1)
+    want = reference_margin(quad, a2, a1)
+    inside = want < 0.0
+    assert np.array_equal(got < 0.0, inside)
+    assert got[inside].tobytes() == want[inside].tobytes()
+    out = ~inside
+    tol = 4.0 * np.spacing(np.maximum(np.abs(want[out]), 1.0))
+    assert (got[out] >= want[out] - tol).all()
+    vertex = np.min([np.hypot(a2[out] - x, a1[out] - y) for x, y in quad.vertices], axis=0)
+    assert (got[out] <= vertex).all()
+
+
+box = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@PROPERTY
+@given(orders, st.one_of(st.none(), st.integers(min_value=2, max_value=80)),
+       st.integers(0, 2**32 - 1), st.lists(box, max_size=8))
+def test_symmetric_margin_reads_two_modes_for_the_all_half_plane_value(alpha, n, seed, extra):
+    quad = _symmetric_region(alpha, n)
+    rng = np.random.default_rng(seed)
+    a2 = np.concatenate((rng.uniform(-1.5, 1.5, 400), [p[0] for p in extra]))
+    a1 = np.concatenate((rng.uniform(-2.5, 2.0, 400), [p[1] for p in extra]))
+    _check_margins(quad, a2, a1)
+
+
+@pytest.mark.parametrize("n", [4_097, 65_536, 999_999, 10**6])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(orders, st.integers(0, 2**32 - 1), st.lists(box, max_size=8))
+def test_symmetric_margin_reads_two_modes_on_long_rings(n, alpha, seed, extra):
+    quad = symmetric_region(alpha, n)
+    rng = np.random.default_rng(seed)
+    a2 = np.concatenate((rng.uniform(-1.5, 1.5, 40), [p[0] for p in extra]))
+    a1 = np.concatenate((rng.uniform(-2.5, 2.0, 40), [p[1] for p in extra]))
+    _check_margins(quad, a2, a1)
+
+
+infinite = st.sampled_from([math.inf, -math.inf])
+
+
+@PROPERTY
+@given(orders, st.one_of(st.none(), st.sampled_from([4, 8, 12]), st.integers(min_value=2, max_value=10**6)),
+       st.one_of(st.tuples(infinite, st.floats(-1e300, 1e300)), st.tuples(st.floats(-1e300, 1e300), infinite),
+                 st.tuples(infinite, infinite)))
+def test_symmetric_margin_at_infinity_is_inf_without_warnings(alpha, n, point):
+    # the quarter-turn cosine is 0.0 when 4 divides n, and inf * 0.0 is NaN:
+    # only the binding modes, whose cosines are never 0, are read
+    quad = _symmetric_region(alpha, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quad.signed_margin(*point) == math.inf
+        margins = quad.signed_margin(np.array([point[0], 0.0, math.nan]), np.array([point[1], 0.5, point[1]]))
+    assert margins[0] == math.inf and math.isfinite(margins[1]) and math.isnan(margins[2])
 
 
 def test_quadrilateral_contains_subnormal_corner():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracml import stability
+from fracml import spectra, stability
 from fracml.spectra import SITE_CAP, CirculantSpec, circulant_eigenvalues
 from fracml.stability import (
     MARGINAL,
@@ -588,10 +588,17 @@ def test_points_at_infinity_have_infinite_margin_without_warnings():
         assert eigenvalue_in_region(complex(0.0, math.inf), 0.5).margin == math.inf
 
 
-def test_symmetric_margins_refuse_a_ring_above_the_site_cap():
-    # the vertices need no mode table; the margins read it
-    region = symmetric_region(0.5, SITE_CAP + 1)
-    assert len(region.vertices) == 4
-    for verdict in (region.signed_margin, region.classify, region.contains):
-        with pytest.raises(ValueError, match=f"cap of {SITE_CAP}"):
-            verdict(0.1, 0.2)
+@pytest.mark.parametrize("n", [SITE_CAP + 1, 10**12])
+def test_symmetric_margins_decide_a_ring_above_the_site_cap_without_a_mode_table(monkeypatch, n):
+    # a margin reads the cosines of modes 0 and n//2 only, so no side is too long
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symmetric margin built a mode table")
+
+    monkeypatch.setattr(spectra, "_mode_table", refuse)
+    region = symmetric_region(0.5, n)
+    for a2, a1, status in ((0.1, 0.2, STABLE), (0.0, 1.5, UNSTABLE), (0.0, 1.0, MARGINAL)):
+        margin = region.signed_margin(a2, a1)
+        assert region.classify(a2, a1) == stability.Verdict(status, margin=float(margin))
+        assert region.contains(a2, a1) == (status == STABLE)
+        if n % 2 == 0:  # every even ring has the same region
+            assert margin == symmetric_region(0.5, 4).signed_margin(a2, a1)
