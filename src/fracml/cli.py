@@ -34,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}j"
-
-
 @contextlib.contextmanager
 def _open_out(path: str | None):
     if path is None:
@@ -53,7 +49,7 @@ _CSV_ROWS = 256  # rows per write; bounds the Python floats alive at once
 def _write_csv(fh, header: str, line: str, rows) -> None:
     """Write ``header``, then ``line % tuple(row)`` for each row of ``rows``.
 
-    Floats go through "%.17g", which round-trips every binary64 value.
+    CSV floats go through "%.17g", which round-trips every binary64 value.
     """
     fh.write(header)
     rows = iter(rows)
@@ -231,12 +227,15 @@ def cmd_classify(args) -> int:
     # one margin pass; an empty or NaN spectrum is refused before any output
     values, margins = stability._spectrum_margins(spec, args.alpha)
     overall = stability._worst(values, margins, band)
+    # eigenvalues become Python floats a block at a time
     order = spec.canonical_order()
-    for lam, margin in zip(values[order], margins[order].tolist()):
-        print(f"{_fmt_complex(lam)}  {stability.margin_status(margin, band)}  margin={margin:.6g}")
+    blocks = (order[s:s + _CSV_ROWS] for s in range(0, len(order), _CSV_ROWS))
+    rows = ((re, im, stability.margin_status(m, band), m) for i in blocks
+            for re, im, m in zip(values[i].real.tolist(), values[i].imag.tolist(), margins[i].tolist()))
+    _write_csv(sys.stdout, "", "%.12g%+.12gj  %s  margin=%.6g\n", rows)
     line = f"overall: {overall.status}  margin={overall.margin:.6g}"
     if overall.witness is not None:
-        line += f"  witness={_fmt_complex(overall.witness)}"
+        line += "  witness=%.12g%+.12gj" % (overall.witness.real, overall.witness.imag)
     print(line)
     return _STATUS_EXIT[overall.status]
 

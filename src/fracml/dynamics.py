@@ -32,7 +32,7 @@ import numpy as np
 
 from . import stability
 from .fractional import kernel_weights, memory_convolution, validate_order
-from .spectra import Circulant, CirculantSpec, _ring_spectra
+from .spectra import Circulant, CirculantSpec, _closed_form
 
 __all__ = [
     "HORIZON_CAP",
@@ -591,7 +591,7 @@ class SweepCell:
 _SWEEP_MODES = ("symmetric", "asymmetric", "logistic-cubic", "logistic-circle")
 ANALYTIC_CELL_CAP = 1_000_000
 SIMULATED_CELL_CAP = 10_000
-SWEEP_MODE_CAP = 100_000_000  # n * cells, in every mode: a logistic cell's margin weighs every mode of its ring
+SWEEP_MODE_CAP = 100_000_000  # n * cells of a logistic or simulated sweep: each cell weighs every mode of its ring
 _SPECTRUM_BLOCK = 1 << 16  # eigenvalues per boundary call in a logistic-mode sweep
 
 
@@ -618,8 +618,8 @@ def _spectral_margins(mode: str, alpha: float, n: int, p1s, p2s) -> np.ndarray:
     cells = np.arange(len(p1s) * len(p2s))
     margins = []
     for start in range(0, len(cells), rows):
-        i, k = np.divmod(cells[start:start + rows], len(p2s))
-        lam = _ring_spectra(a0[k], a1[i], a2[k], n)  # (cells, n)
+        i, k = np.divmod(cells[start:start + rows, None], len(p2s))
+        lam = _closed_form((n,), {(0,): a1[i], (-1,): a0[k], (1,): a2[k]})  # (cells, n)
         margins.append(stability._spectrum_curve_margin(lam, alpha).max(axis=1))
     return np.concatenate(margins)
 
@@ -651,12 +651,15 @@ def sweep(
     for bit; nonlinear cells run one after another.  Before any margin or
     run, a simulated sweep raises ValueError unless 0 < amplitude < inf,
     ``check_run`` accepts the horizon, window >= 1 and horizon >= 4
-    window.  Verdicts use
-    ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
+    window.  A logistic or simulated sweep raises ValueError before any
+    margin if n times its cells exceeds ``SWEEP_MODE_CAP``; an analytic
+    symmetric or asymmetric margin reads only the region, at any n.
+    Verdicts use ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
     ``threads`` is accepted and ignored.  NaN parameters raise ValueError.
     """
     if mode not in _SWEEP_MODES:
         raise ValueError(f"mode must be one of {_SWEEP_MODES}, got {mode!r}")
+    linear = mode in ("symmetric", "asymmetric")
     a = validate_order(alpha)
     p1s = [float(v) for v in np.atleast_1d(np.asarray(p1_values, dtype=float))]
     p2s = [float(v) for v in np.atleast_1d(np.asarray(p2_values, dtype=float))]
@@ -665,11 +668,11 @@ def sweep(
     cap = SIMULATED_CELL_CAP if simulate else ANALYTIC_CELL_CAP
     if cells > cap:
         raise ValueError(f"grid of {cells} cells exceeds the cap of {cap}")
-    if int(n) * cells > SWEEP_MODE_CAP:
+    if (simulate or not linear) and int(n) * cells > SWEEP_MODE_CAP:
         raise ValueError(f"{cells} cells of {n} sites exceed the cap of {SWEEP_MODE_CAP} modes")
     if simulate:  # the settings of every run, checked before any margin or run
         _check_amplitude(amplitude)
-        t_max = check_run(horizon, (int(n),), modes=mode in ("symmetric", "asymmetric"))
+        t_max = check_run(horizon, (int(n),), modes=linear)
         _window(t_max, window)
     if cells == 0:
         return []
@@ -678,7 +681,7 @@ def sweep(
         region = stability.symmetric_region(a, n)
     elif mode == "asymmetric":
         region = stability.asymmetric_region(a, n)
-    if mode in ("symmetric", "asymmetric"):
+    if linear:
         g1, g2 = np.meshgrid(p1s, p2s, indexing="ij")
         margins = region.signed_margin(g1.ravel(), g2.ravel())
     else:
@@ -689,7 +692,7 @@ def sweep(
         grid = itertools.product(range(len(p1s)), range(len(p2s)))
         starts = (seeded_state(n, 0.0, amplitude, (seed, i, k)) for i, k in grid)
         params = itertools.product(p1s, p2s)
-        if mode in ("symmetric", "asymmetric"):
+        if linear:
             weights = ((p1, p2, p1) if mode == "symmetric" else (-p2, p1, p2) for p1, p2 in params)
             rings = (CirculantSpec(*ring, n) for ring in weights)
             trajs = _linear_cells(a, (int(n),), t_max, zip(rings, starts))

@@ -8,7 +8,10 @@ matrix, the closed-form spectrum and the mode-space runs of
 the QR solver in :mod:`fracml.eig`.  Closed-form spectra pair exactly in
 every dimension: mode -l holds the exact conjugate of mode l, and the
 trigonometric factors are snapped to 0 / +-1 at quarter turns, so real
-eigenvalues carry an imaginary part equal to 0.0 (+0.0 or -0.0).
+eigenvalues carry an imaginary part equal to 0.0 (+0.0 or -0.0).  One
+function computes every closed form, for a single coupling or a batch
+of cells: it pairs the stencil, checks each side against ``SITE_CAP``
+and builds its mode tables afresh on each call; nothing is cached.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class Circulant:
     ``shape`` is (n,) or (n, m, ...).  ``stencil`` maps integer offsets k
     (plain ints on a 1-D shape) to weights: A[x, x + k] = c_k.  An offset
     with two non-zero components raises ValueError.  Offsets that land on
-    one site (+-1 when n = 2) add, in stencil order.
+    one site (+-1 when n = 2) add, in stencil order.  Building one only
+    normalizes the stencil; the spectrum pairs it when it is computed.
     """
 
     shape: tuple
@@ -86,21 +90,8 @@ class Circulant:
             if len(k) != len(shape) or len(k) - k.count(0) > 1:
                 raise ValueError(f"offset {k} needs {len(shape)} components, at most one non-zero")
             stencil[k] = float(c)
-        pairs = []  # the closed form's (axis, k, (c_k + c_-k, c_k - c_-k)) per pair, k > 0
-        for off, c in stencil.items():
-            k = sum(off)  # the non-zero component
-            back = stencil.get(tuple(map(operator.neg, off))) if k else None
-            if k > 0:
-                pairs.append((off.index(k), k, np.array((c, c) if back is None else (c + back, c - back))))
-            elif k < 0 and back is None:  # else counted with -k
-                pairs.append((off.index(k), -k, np.array((c, -c))))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "stencil", MappingProxyType(stencil))
-        # (c_0, -0.0), over the whole lattice if no pair spans it; -0.0 keeps the first sine term's sign
-        base = np.array((stencil.get((0,) * len(shape), 0.0), -0.0))
-        if len({axis for axis, _, _ in pairs}) < len(shape):
-            base = np.broadcast_to(base, shape + (2,)).copy()
-        object.__setattr__(self, "_terms", (base, pairs))
 
     def first_column(self, diagonal: float = 0.0) -> np.ndarray:
         """Column 0 of A + diagonal * I, shaped like the lattice: entry -k adds c_k."""
@@ -169,72 +160,66 @@ class Spectrum:
         return self.eigenvalues[self.canonical_order()]
 
 
-_TABLE_CACHE_BYTES = 1 << 26  # bytes of mode tables kept for reuse
-_tables: dict = {}  # n -> mode table, least recently used first
-
-
-def _trig_table(n: int) -> np.ndarray:
-    """Read-only rows (cos, sin) of 2 pi l / n, l < n; row n - l is row l with its sine negated.
-
-    Every closed-form spectrum reads its mode values here, so a side
-    above SITE_CAP raises ValueError before any work.  The most recently used tables stay cached while together they
-    take at most _TABLE_CACHE_BYTES; a larger table is built on each call.
-    """
-    table = _tables.pop(n, None)
-    if table is None:
-        table = _mode_table(n)
-    _tables[n] = table
-    kept = sum(t.nbytes for t in _tables.values())
-    while kept > _TABLE_CACHE_BYTES:
-        kept -= _tables.pop(next(iter(_tables))).nbytes
-    return table
-
-
 def _mode_table(n: int) -> np.ndarray:
-    """``_trig_table(n)`` built afresh."""
-    if n > SITE_CAP:
-        raise ValueError(f"{n} sites along one axis exceed the cap of {SITE_CAP}")
+    """Rows (cos, sin) of 2 pi l / n, l < n, bit for bit ``mode_cosine`` and ``mode_sine``.
+
+    Rows l <= n // 2 take np.cos and np.sin of the scalar functions' own
+    argument, with their snapped values at the quarter turns; row n - l
+    is row l with its sine negated.
+    """
     half, m = n // 2 + 1, (n - 1) // 2
     table = np.empty((n, 2))
-    table[:half, 0] = np.fromiter((mode_cosine(l, n) for l in range(half)), float, half)
-    table[:half, 1] = np.fromiter((mode_sine(l, n) for l in range(half)), float, half)
+    turn = 2.0 * math.pi * np.arange(half) / n
+    np.cos(turn, out=table[:half, 0])
+    np.sin(turn, out=table[:half, 1])
+    for l in (0, n // 4, n // 2):
+        if 4 * l % n == 0:  # a quarter turn
+            table[l] = mode_cosine(l, n), mode_sine(l, n)
     table[half:] = table[m:0:-1] * (1.0, -1.0)
-    table.flags.writeable = False
     return table
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge weights give inf and NaN, as floats do
-def circulant_eigenvalues(spec: Circulant) -> Spectrum:
-    """Closed-form spectrum, mode l in C order, a the axis of the pair (k, -k):
+def _closed_form(shape, stencil) -> np.ndarray:
+    """Closed-form eigenvalues of ``Circulant(shape, stencil)``, mode l in C order:
 
-    lambda_l = c_0 + sum over pairs of (c_k + c_-k) cos(2 pi k l_a / n_a) + i (c_k - c_-k) sin(...).
+    lambda_l = c_0 + sum over pairs of (c_k + c_-k) cos(2 pi k l_a / n_a) + i (c_k - c_-k) sin(...),
+
+    a the axis of the pair (k, -k).  Pairs are read off ``stencil`` here,
+    in its order.  Weights may be arrays of shape (cells..., 1, ..., 1),
+    a 1 per lattice axis: the result then has shape (cells..., sites),
+    each row bit for bit the spectrum of its cell alone.  Every side is
+    checked against SITE_CAP before any mode table or array is built.
     """
-    shape, stencil = spec.shape, spec.stencil
-    if len(shape) == 1 and stencil.keys() == {(0,), (-1,), (1,)}:
-        return Spectrum(_ring_spectra(stencil[-1,], stencil[0,], stencil[1,], shape[0]), "analytic-circulant")
-    vals, pairs = spec._terms  # vals: (re, im)
-    for axis, k, pq in pairs:
+    shape = _sides(shape)
+    if max(shape) > SITE_CAP:
+        raise ValueError(f"{max(shape)} sites along one axis exceed the cap of {SITE_CAP}")
+    dims = len(shape)
+    pairs = []
+    for off, c in stencil.items():
+        k = sum(off)  # the non-zero component
+        back = stencil.get(tuple(map(operator.neg, off))) if k else None
+        if k > 0:
+            pairs.append((off.index(k), k, (c, c) if back is None else (c + back, c - back)))
+        elif k < 0 and back is None:  # else counted with -k
+            pairs.append((off.index(k), -k, (c, -c)))
+    tables = {n: _mode_table(n) for n in {shape[axis] for axis, _, _ in pairs}}
+    re, im = stencil.get((0,) * dims, 0.0), -0.0  # -0.0 keeps the first sine term's sign
+    for axis, k, (p, q) in pairs:
         n = shape[axis]
-        table = _trig_table(n) if k % n == 1 else _trig_table(n)[k * np.arange(n) % n]
-        if len(shape) > 1:
-            table = table.reshape(tuple(n if a == axis else 1 for a in range(len(shape))) + (2,))
-        vals = vals + table * pq
-    return Spectrum(vals.view(complex).ravel(), "analytic-circulant" if len(shape) == 1 else "analytic-block")
+        table = tables[n] if k % n == 1 else tables[n][np.arange(n) * (k % n) % n]
+        cos, sin = table.T.reshape((2,) + tuple(n if a == axis else 1 for a in range(dims)))
+        re, im = re + cos * p, im + sin * q
+    lead = np.broadcast_shapes(np.shape(re), np.shape(im))[:-dims]
+    vals = np.empty(lead + shape, complex)
+    vals.real, vals.imag = re, im
+    return vals.reshape(lead + (-1,))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _ring_spectra(a0, a1, a2, n: int) -> np.ndarray:
-    """Closed-form spectra of three-term rings of n sites, shape (..., n) for weights broadcast to (...).
-
-    ``circulant_eigenvalues``' formula for one pair: (a1, -0.0) plus the
-    mode table times (a2 + a0, a2 - a0), so a ring's spectrum has the same
-    bits whether it is built alone or in a batch.
-    """
-    (n,) = _sides((n,))
-    a0, a1, a2 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (a0, a1, a2)))
-    base = np.stack((a1, np.full(a1.shape, -0.0)), axis=-1)[..., None, :]  # -0.0 keeps the sine term's sign
-    pq = np.stack((a2 + a0, a2 - a0), axis=-1)[..., None, :]
-    return (base + _trig_table(n) * pq).view(complex)[..., 0]
+def circulant_eigenvalues(spec: Circulant) -> Spectrum:
+    """Closed-form spectrum of any ``Circulant``: a ring, a torus, any stencil."""
+    return Spectrum(_closed_form(spec.shape, spec.stencil),
+                    "analytic-circulant" if len(spec.shape) == 1 else "analytic-block")
 
 
 def symmetric_eigenvalues(a1: float, a2: float, n: int) -> Spectrum:

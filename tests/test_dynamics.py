@@ -39,7 +39,7 @@ from fracml.dynamics import (
 )
 from fracml.fractional import kernel_weights, memory_convolution
 from fracml.spectra import SITE_CAP, Circulant, CirculantSpec
-from fracml.stability import symmetric_region
+from fracml.stability import asymmetric_region, symmetric_region
 
 
 def test_map_values():
@@ -433,8 +433,6 @@ def test_sweep_analytic_only():
 
 
 def test_sweep_modes_match_direct_classification():
-    from fracml.stability import asymmetric_region
-
     cells = sweep("asymmetric", 0.3, 6, [-0.1, -0.3], [-0.22, 0.5])
     region = asymmetric_region(0.3, 6)
     for c in cells:
@@ -507,18 +505,28 @@ def test_sweep_rejects_bad_input():
 
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
 def test_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
+    # the n * cells cap bounds the sweeps that weigh every mode of every ring:
+    # logistic margins and simulated runs
     def refuse(*args, **kwargs):
         raise AssertionError("margins started before the size check")
 
     for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
         monkeypatch.setattr(dynamics.stability, name, refuse)
-    monkeypatch.setattr(dynamics, "_ring_spectra", refuse)
-    for simulate in (False, True):
-        with pytest.raises(ValueError, match="cap"):
+    monkeypatch.setattr(dynamics, "_closed_form", refuse)
+    message = f"cap of {dynamics.SWEEP_MODE_CAP} modes"
+    for simulate in (False, True) if mode.startswith("logistic") else (True,):
+        with pytest.raises(ValueError, match=message):
             sweep(mode, 0.5, 10**12, [0.1], [0.2], simulate=simulate)
-    n = dynamics.SWEEP_MODE_CAP // 10**4
-    with pytest.raises(ValueError, match="cap"):
-        sweep(mode, 0.5, n, np.zeros(100), np.zeros(101))
+        n = dynamics.SWEEP_MODE_CAP // 10**3
+        with pytest.raises(ValueError, match=message):
+            sweep(mode, 0.5, n, np.zeros(10), np.zeros(101), simulate=simulate)
+
+
+@pytest.mark.parametrize("mode, region", [("symmetric", symmetric_region), ("asymmetric", asymmetric_region)])
+def test_analytic_linear_sweeps_take_any_ring_size(mode, region):
+    # an analytic symmetric or asymmetric margin reads only the region
+    cells = sweep(mode, 0.5, 10**12, [0.1, 0.3], [0.2])
+    assert [c.margin for c in cells] == region(0.5, 10**12).signed_margin(np.array([0.1, 0.3]), 0.2).tolist()
 
 
 @pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
@@ -560,7 +568,7 @@ def test_simulated_sweep_checks_its_run_settings_before_any_work(monkeypatch, mo
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the run settings were checked")
 
-    for name in ("simulate_linear", "simulate_nonlinear", "_linear_cells", "_ring_spectra"):
+    for name in ("simulate_linear", "simulate_nonlinear", "_linear_cells", "_closed_form"):
         monkeypatch.setattr(dynamics, name, refuse)
     for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
         monkeypatch.setattr(dynamics.stability, name, refuse)

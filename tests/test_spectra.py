@@ -1,6 +1,7 @@
 """Tests for closed-form ring spectra and the dense cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,45 +36,45 @@ def test_mode_trig_exact_values():
 
 
 def test_mode_table_refuses_an_axis_above_the_site_cap(monkeypatch):
-    # the uncached builder, so no table kept from another test answers instead
+    # the closed form checks every side before it builds a table
     monkeypatch.setattr(spectra, "SITE_CAP", 12)
-    assert spectra._mode_table(12).shape == (12, 2)
+    assert circulant_eigenvalues(CirculantSpec(0.1, 0.2, 0.3, 12)).eigenvalues.shape == (12,)
     with pytest.raises(ValueError, match="exceed the cap of 12"):
-        spectra._mode_table(13)
-
-
-def test_mode_table_cache_holds_at_most_its_bound(monkeypatch):
-    # the cache's bookkeeping, with a stand-in builder that skips the
-    # 2 * 10**6 trigonometric calls of each real table
-    monkeypatch.setattr(spectra, "_tables", {})
-    monkeypatch.setattr(spectra, "_mode_table", lambda n: np.zeros((n, 2)))
-    sides = [2_000_000 + k for k in range(16)]
-    tables = [spectra._trig_table(n) for n in sides]
-    kept = spectra._tables
-    assert sum(t.nbytes for t in kept.values()) <= spectra._TABLE_CACHE_BYTES
-    assert list(kept) == sides[-len(kept):] and kept  # the most recent ones
-    assert spectra._trig_table(sides[-1]) is tables[-1]
-    big = spectra._TABLE_CACHE_BYTES // 16 + 1  # a table above the bound is not kept
-    spectra._trig_table(big)
-    assert big not in kept and sum(t.nbytes for t in kept.values()) <= spectra._TABLE_CACHE_BYTES
-
-
-def test_mode_table_cache_returns_the_built_table():
-    first = spectra._trig_table(37)
-    assert spectra._trig_table(37) is first
-    assert np.array_equal(first, spectra._mode_table(37)) and not first.flags.writeable
+        circulant_eigenvalues(CirculantSpec(0.1, 0.2, 0.3, 13))
 
 
 def test_closed_form_refuses_an_axis_above_the_site_cap_before_any_mode(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("mode values computed before the site cap")
 
-    spectra._trig_table(3)  # the torus's short side may come first; it is cached, not rebuilt
+    monkeypatch.setattr(spectra, "_mode_table", refuse)
     monkeypatch.setattr(spectra, "mode_cosine", refuse)
     big = spectra.SITE_CAP + 1
-    for spec in (CirculantSpec(0.1, 0.2, 0.3, big), BlockCirculantSpec(0.1, 0.2, 0.3, 3, big)):
+    specs = (CirculantSpec(0.1, 0.2, 0.3, big), BlockCirculantSpec(0.1, 0.2, 0.3, 3, big),
+             Circulant((1, big), {(0, 0): 1.0}))  # no pair reads a table of the long side
+    for spec in specs:
         with pytest.raises(ValueError, match=f"{big} sites along one axis exceed the cap"):
             circulant_eigenvalues(spec)
+
+
+def test_building_a_circulant_allocates_no_lattice_array():
+    tracemalloc.start()
+    try:
+        Circulant((1, 10**6), {(0, 0): 1.0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_mode_table_is_the_scalar_mode_functions_bit_for_bit():
+    # rows l <= n // 2 call np.cos / np.sin on the scalar functions' argument;
+    # the rest mirror them with the sine negated
+    for n in [*range(1, 3001, 7), 2048, 3000, 10**6]:
+        table, half = spectra._mode_table(n), n // 2 + 1
+        want = np.array([(mode_cosine(l, n), mode_sine(l, n)) for l in range(half)])
+        assert table[:half].tobytes() == want.tobytes(), n
+        assert table[half:].tobytes() == (table[(n - 1) // 2:0:-1] * (1.0, -1.0)).tobytes(), n
 
 
 def test_circulant_matrix_small_sizes():
@@ -132,28 +133,69 @@ def test_circulant_conjugate_closure_is_exact():
         assert vals[11 - l] == np.conj(vals[l])
 
 
+def _mode_trig(j, n):
+    """(cos, sin) of mode j as the closed form reads them: mode n - j mirrors mode j."""
+    j %= n
+    if 2 * j <= n:
+        return mode_cosine(j, n), mode_sine(j, n)
+    return mode_cosine(n - j, n), -mode_sine(n - j, n)
+
+
+def _per_mode(shape, stencil):
+    """The closed form mode by mode in Python floats, pairs (k, -k) in stencil order.
+
+    lambda_l = c_0 + sum (c_k + c_-k) cos + i (-0.0 + sum (c_k - c_-k) sin);
+    an offset without partner weighs (c, c) for k > 0 and (c, -c) for k < 0.
+    """
+    pairs = []
+    for off, c in stencil.items():
+        k, back = sum(off), stencil.get(tuple(-v for v in off))
+        if k > 0:
+            pairs.append((off.index(k), k, (c, c) if back is None else (c + back, c - back)))
+        elif k < 0 and back is None:
+            pairs.append((off.index(k), -k, (c, -c)))
+    want = []
+    for mode in np.ndindex(shape):
+        re, im = stencil.get((0,) * len(shape), 0.0), -0.0
+        for axis, k, (p, q) in pairs:
+            cos, sin = _mode_trig(k * mode[axis], shape[axis])
+            re, im = re + cos * p, im + sin * q
+        want.append(complex(re, im))
+    return np.array(want)
+
+
 def test_ring_spectra_alone_and_batched_are_the_per_mode_formula():
-    # lambda_l = a1 + (a2 + a0) cos + i (-0.0 + (a2 - a0) sin), in Python floats,
-    # with mode n - l the conjugate of mode l; signed zeros included
+    # rings, tori and stencils with offsets above 1, wrapping or without a
+    # partner, alone and batched over cells; signed zeros included
     rng = np.random.default_rng(23)
-    for n in (1, 2, 3, 4, 7, 12):
-        w = rng.normal(size=(8, 3))
+
+    def weights(size):
+        w = rng.normal(size=size)
         w[rng.random(w.shape) < 0.2] = 0.0
         w[rng.random(w.shape) < 0.2] = -0.0
+        return w
+
+    lattices = [((n,), (0, -1, 1)) for n in (1, 2, 3, 4, 7, 12)]
+    lattices += [(shape, ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))) for shape in ((1, 1), (2, 3), (4, 4), (5, 2))]
+    lattices += [
+        ((5,), (0, 2, -3, 7)),  # 7 wraps onto 2; -3 has no partner
+        ((6,), (-2, 2, 4, -9)),  # -9 and 4 have no partner
+        ((2,), (3, -1)),  # both wrap onto the one neighbor
+        ((3, 4, 2), ((0, 0, 0), (2, 0, 0), (0, -3, 0), (0, 5, 0), (0, 0, 1), (0, 0, -1))),
+        ((4, 3), ((0, -2), (3, 0))),  # no centre weight
+    ]
+    for shape, offsets in lattices:
+        w = weights((8, len(offsets)))
         want = []
-        for a0, a1, a2 in w:
-            row = []
-            for l in range(n):
-                j = min(l, n - l)
-                sin = mode_sine(j, n) if j == l else -mode_sine(j, n)
-                row.append(complex(a1 + mode_cosine(j, n) * (a2 + a0), -0.0 + sin * (a2 - a0)))
-            want.append(row)
-        want = np.array(want)
-        assert spectra._ring_spectra(*w.T, n).tobytes() == want.tobytes()
-        for (a0, a1, a2), row in zip(w, want):
-            assert circulant_eigenvalues(CirculantSpec(a0, a1, a2, n)).eigenvalues.tobytes() == row.tobytes()
+        for row in w:
+            spec = Circulant(shape, dict(zip(offsets, row.tolist())))
+            want.append(_per_mode(spec.shape, spec.stencil))
+            assert circulant_eigenvalues(spec).eigenvalues.tobytes() == want[-1].tobytes(), shape
+        cells = w.T.reshape((len(offsets), len(w)) + (1,) * len(shape))
+        batched = spectra._closed_form(shape, dict(zip(spec.stencil, cells)))  # (cells, sites)
+        assert batched.tobytes() == np.array(want).tobytes(), shape
     with pytest.raises(ValueError, match="lattice sides must be positive integers"):
-        spectra._ring_spectra(0.1, 0.2, 0.3, 0)
+        spectra._closed_form((0,), {(0,): 0.1})
 
 
 def test_circulant_matches_dense_and_numpy():
