@@ -32,7 +32,7 @@ import numpy as np
 
 from . import stability
 from .fractional import kernel_weights, memory_convolution, validate_order
-from .spectra import Circulant, CirculantSpec, _closed_form
+from .spectra import Circulant, CirculantSpec
 
 __all__ = [
     "HORIZON_CAP",
@@ -588,11 +588,12 @@ class SweepCell:
     margin: float
 
 
-_SWEEP_MODES = ("symmetric", "asymmetric", "logistic-cubic", "logistic-circle")
+# sweep mode -> the coupling region of its ring: symmetric (a0 = a2) or antisymmetric (a0 = -a2)
+_SWEEP_MODES = {"symmetric": "symmetric", "asymmetric": "asymmetric",
+                "logistic-cubic": "symmetric", "logistic-circle": "asymmetric"}
 ANALYTIC_CELL_CAP = 1_000_000
 SIMULATED_CELL_CAP = 10_000
-SWEEP_MODE_CAP = 100_000_000  # n * cells of a logistic or simulated sweep: each cell weighs every mode of its ring
-_SPECTRUM_BLOCK = 1 << 16  # eigenvalues per boundary call in a logistic-mode sweep
+SWEEP_MODE_CAP = 100_000_000  # n * cells of a simulated sweep: each run steps every site of its ring
 
 
 def _sweep_maps(mode: str, p1: float, p2: float):
@@ -603,25 +604,21 @@ def _sweep_maps(mode: str, p1: float, p2: float):
     return negated_map(f2), logistic_map(p1), f2
 
 
-def _spectral_margins(mode: str, alpha: float, n: int, p1s, p2s) -> np.ndarray:
-    """Worst eigenvalue margin of each logistic-mode cell, in row-major order.
+def _sweep_rings(mode: str, p1s, p2s):
+    """Rings (a0, a1, a2) of a sweep's cells, each an array over the cells in row-major order.
 
-    A cell linearizes at the origin to the ring (a0, a1, a2): a1 from mu
-    alone, a0 and a2 from delta alone.  The spectra of a block of cells
-    are built as one array, bit for bit each ring's
-    ``circulant_eigenvalues``.  Blocks of about ``_SPECTRUM_BLOCK``
-    eigenvalues bound the memory of large grids.
+    A symmetric cell is (p1, p2, p1), an asymmetric one (-p2, p1, p2).  A
+    logistic cell is its maps' linearization at the origin, where a1
+    depends on mu alone and a0, a2 on delta alone, so each axis value is
+    linearized once.
     """
-    a1 = np.array([linearize_at(*_sweep_maps(mode, p1, 0.0), 0.0)[1] for p1 in p1s])
+    rows, cols = len(p1s), len(p2s)
+    if mode in ("symmetric", "asymmetric"):
+        p1, p2 = np.repeat(p1s, cols), np.tile(p2s, rows)
+        return (p1, p2, p1) if mode == "symmetric" else (-p2, p1, p2)
+    a1 = [linearize_at(*_sweep_maps(mode, p1, 0.0), 0.0)[1] for p1 in p1s]
     a0, _, a2 = np.array([linearize_at(*_sweep_maps(mode, 0.0, p2), 0.0) for p2 in p2s]).T
-    rows = max(1, _SPECTRUM_BLOCK // max(1, int(n)))
-    cells = np.arange(len(p1s) * len(p2s))
-    margins = []
-    for start in range(0, len(cells), rows):
-        i, k = np.divmod(cells[start:start + rows, None], len(p2s))
-        lam = _closed_form((n,), {(0,): a1[i], (-1,): a0[k], (1,): a2[k]})  # (cells, n)
-        margins.append(stability._spectrum_curve_margin(lam, alpha).max(axis=1))
-    return np.concatenate(margins)
+    return np.tile(a0, rows), np.repeat(a1, cols), np.tile(a2, rows)
 
 
 def sweep(
@@ -642,23 +639,25 @@ def sweep(
     Parameter meaning per mode: symmetric (p1 = a2, p2 = a1, with
     a0 = a2), asymmetric (p1 = a1, p2 = a2, with a0 = -a2),
     logistic-cubic and logistic-circle (p1 = mu, p2 = delta, classified
-    at the origin equilibrium).  Analytic margins are computed for all
-    cells at once, not cell by cell.  ``simulate=True`` adds the
-    empirical verdict of a seeded run per cell; cell (i, k) draws its
-    initial state as seeded_state(n, 0.0, amplitude, (seed, i, k)).
-    Linear cells (symmetric, asymmetric) run together, in mode-space runs
-    of groups of cells, and each gets the trajectory of its run alone, bit
-    for bit; nonlinear cells run one after another.  Before any margin or
-    run, a simulated sweep raises ValueError unless 0 < amplitude < inf,
-    ``check_run`` accepts the horizon, window >= 1 and horizon >= 4
-    window.  A logistic or simulated sweep raises ValueError before any
-    margin if n times its cells exceeds ``SWEEP_MODE_CAP``; an analytic
-    symmetric or asymmetric margin reads only the region, at any n.
-    Verdicts use ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
+    at the origin equilibrium, where they linearize to the rings
+    (-delta, mu, -delta) and (-(1 + delta), mu, 1 + delta)).  A cell's
+    analytic margin is the ``signed_margin`` of its ring's region,
+    symmetric or asymmetric, read for all cells at once and at any n, so
+    logistic-cubic, like symmetric, raises ValueError at n = 1.
+    ``simulate=True`` adds the empirical verdict of a seeded run per cell;
+    cell (i, k) draws its initial state as
+    seeded_state(n, 0.0, amplitude, (seed, i, k)).  Linear cells
+    (symmetric, asymmetric) run together, in mode-space runs of groups of
+    cells, and each gets the trajectory of its run alone, bit for bit;
+    nonlinear cells run one after another.  Before any margin or run, a
+    simulated sweep raises ValueError unless n times its cells is within
+    ``SWEEP_MODE_CAP``, 0 < amplitude < inf, ``check_run`` accepts the
+    horizon, window >= 1 and horizon >= 4 window.  Verdicts use
+    ``stability.BOUNDARY_BAND`` and runs ``DIVERGENCE_CUTOFF``.
     ``threads`` is accepted and ignored.  NaN parameters raise ValueError.
     """
     if mode not in _SWEEP_MODES:
-        raise ValueError(f"mode must be one of {_SWEEP_MODES}, got {mode!r}")
+        raise ValueError(f"mode must be one of {tuple(_SWEEP_MODES)}, got {mode!r}")
     linear = mode in ("symmetric", "asymmetric")
     a = validate_order(alpha)
     p1s = [float(v) for v in np.atleast_1d(np.asarray(p1_values, dtype=float))]
@@ -668,35 +667,30 @@ def sweep(
     cap = SIMULATED_CELL_CAP if simulate else ANALYTIC_CELL_CAP
     if cells > cap:
         raise ValueError(f"grid of {cells} cells exceeds the cap of {cap}")
-    if (simulate or not linear) and int(n) * cells > SWEEP_MODE_CAP:
-        raise ValueError(f"{cells} cells of {n} sites exceed the cap of {SWEEP_MODE_CAP} modes")
     if simulate:  # the settings of every run, checked before any margin or run
+        if int(n) * cells > SWEEP_MODE_CAP:
+            raise ValueError(f"{cells} cells of {n} sites exceed the cap of {SWEEP_MODE_CAP} modes")
         _check_amplitude(amplitude)
         t_max = check_run(horizon, (int(n),), modes=linear)
         _window(t_max, window)
     if cells == 0:
         return []
 
-    if mode == "symmetric":
-        region = stability.symmetric_region(a, n)
-    elif mode == "asymmetric":
-        region = stability.asymmetric_region(a, n)
-    if linear:
-        g1, g2 = np.meshgrid(p1s, p2s, indexing="ij")
-        margins = region.signed_margin(g1.ravel(), g2.ravel())
+    a0, a1, a2 = _sweep_rings(mode, p1s, p2s)
+    if _SWEEP_MODES[mode] == "symmetric":
+        margins = stability.symmetric_region(a, n).signed_margin(a2, a1)
     else:
-        margins = _spectral_margins(mode, a, n, p1s, p2s)
+        margins = stability.asymmetric_region(a, n).signed_margin(a1, a2)
 
     empirical = itertools.repeat(None)
     if simulate:  # lazily, so that only one group of runs is alive at a time
         grid = itertools.product(range(len(p1s)), range(len(p2s)))
         starts = (seeded_state(n, 0.0, amplitude, (seed, i, k)) for i, k in grid)
-        params = itertools.product(p1s, p2s)
         if linear:
-            weights = ((p1, p2, p1) if mode == "symmetric" else (-p2, p1, p2) for p1, p2 in params)
-            rings = (CirculantSpec(*ring, n) for ring in weights)
+            rings = (CirculantSpec(*ring, n) for ring in zip(a0.tolist(), a1.tolist(), a2.tolist()))
             trajs = _linear_cells(a, (int(n),), t_max, zip(rings, starts))
         else:
+            params = itertools.product(p1s, p2s)
             trajs = (simulate_nonlinear(a, *_sweep_maps(mode, p1, p2), x0, t_max) for (p1, p2), x0 in zip(params, starts))
         empirical = (classify_trajectory(traj, window) for traj in trajs)
     return [

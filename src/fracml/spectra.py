@@ -9,9 +9,9 @@ the QR solver in :mod:`fracml.eig`.  Closed-form spectra pair exactly in
 every dimension: mode -l holds the exact conjugate of mode l, and the
 trigonometric factors are snapped to 0 / +-1 at quarter turns, so real
 eigenvalues carry an imaginary part equal to 0.0 (+0.0 or -0.0).  One
-function computes every closed form, for a single coupling or a batch
-of cells: it pairs the stencil, checks each side against ``SITE_CAP``
-and builds its mode tables afresh on each call; nothing is cached.
+function computes every closed form: it checks the site count against
+``SITE_CAP``, pairs the stencil and builds its mode tables afresh on
+each call; nothing is cached.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-SITE_CAP = 10_000_000  # sites along one axis with a closed-form spectrum: a 160 MB mode table
+SITE_CAP = 10_000_000  # sites of a lattice with a closed-form spectrum: 160 MB of eigenvalues
 
 
 def mode_cosine(j: int, n: int) -> float:
@@ -180,20 +180,21 @@ def _mode_table(n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge weights give inf and NaN, as floats do
-def _closed_form(shape, stencil) -> np.ndarray:
-    """Closed-form eigenvalues of ``Circulant(shape, stencil)``, mode l in C order:
+def circulant_eigenvalues(spec: Circulant) -> Spectrum:
+    """Closed-form spectrum of any ``Circulant``: a ring, a torus, any stencil.
+
+    Mode l, in C order, is
 
     lambda_l = c_0 + sum over pairs of (c_k + c_-k) cos(2 pi k l_a / n_a) + i (c_k - c_-k) sin(...),
 
-    a the axis of the pair (k, -k).  Pairs are read off ``stencil`` here,
-    in its order.  Weights may be arrays of shape (cells..., 1, ..., 1),
-    a 1 per lattice axis: the result then has shape (cells..., sites),
-    each row bit for bit the spectrum of its cell alone.  Every side is
-    checked against SITE_CAP before any mode table or array is built.
+    a the axis of the pair (k, -k).  Pairs are read off the stencil here,
+    in its order.  The site count is checked against SITE_CAP before any
+    mode table or array is built.
     """
-    shape = _sides(shape)
-    if max(shape) > SITE_CAP:
-        raise ValueError(f"{max(shape)} sites along one axis exceed the cap of {SITE_CAP}")
+    shape, stencil = spec.shape, spec.stencil
+    sites = math.prod(shape)
+    if sites > SITE_CAP:
+        raise ValueError(f"{sites} sites exceed the cap of {SITE_CAP}")
     dims = len(shape)
     pairs = []
     for off, c in stencil.items():
@@ -210,16 +211,9 @@ def _closed_form(shape, stencil) -> np.ndarray:
         table = tables[n] if k % n == 1 else tables[n][np.arange(n) * (k % n) % n]
         cos, sin = table.T.reshape((2,) + tuple(n if a == axis else 1 for a in range(dims)))
         re, im = re + cos * p, im + sin * q
-    lead = np.broadcast_shapes(np.shape(re), np.shape(im))[:-dims]
-    vals = np.empty(lead + shape, complex)
+    vals = np.empty(shape, complex)
     vals.real, vals.imag = re, im
-    return vals.reshape(lead + (-1,))
-
-
-def circulant_eigenvalues(spec: Circulant) -> Spectrum:
-    """Closed-form spectrum of any ``Circulant``: a ring, a torus, any stencil."""
-    return Spectrum(_closed_form(spec.shape, spec.stencil),
-                    "analytic-circulant" if len(spec.shape) == 1 else "analytic-block")
+    return Spectrum(vals.ravel(), "analytic-circulant" if dims == 1 else "analytic-block")
 
 
 def symmetric_eigenvalues(a1: float, a2: float, n: int) -> Spectrum:

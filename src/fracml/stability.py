@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import validate_order
-from .spectra import mode_cosine, mode_sine
+from .spectra import _sides, mode_cosine, mode_sine
 
 __all__ = [
     "DEFAULT_SAMPLES",
@@ -483,11 +483,12 @@ def symmetric_region(alpha: float, n: int) -> Quadrilateral:
     (-2^(a-2), 1 - 2^(a-1)), (0, 1 - 2^a), (2^(a-2), 1 - 2^(a-1)); odd n
     gives the slightly larger quadrilateral whose lateral vertices carry
     the factor 1/(1 + cos(pi/n)).  n = 1 has no coupling geometry: test
-    a0 + a1 + a2 against the real interval instead.
+    a0 + a1 + a2 against the real interval instead.  n < 1 raises
+    ValueError, as a lattice without sites does.
     """
     a = validate_order(alpha)
-    n = int(n)
-    if n < 2:
+    (n,) = _sides((n,))
+    if n == 1:
         raise ValueError(
             "n = 1 is a single uncoupled site; test a0 + a1 + a2 against "
             "the real interval instead"
@@ -551,11 +552,9 @@ class AsymmetricRegion(_Region):
 
 
 def asymmetric_region(alpha: float, n: int) -> AsymmetricRegion:
-    """Stable (a1, a2) region of the antisymmetric ring (a0 = -a2)."""
+    """Stable (a1, a2) region of the antisymmetric ring (a0 = -a2); n < 1 raises ValueError."""
     a = validate_order(alpha)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    (n,) = _sides((n,))
     iv = real_interval(a)
     if n <= 2:
         return AsymmetricRegion(a, iv, n=n)

@@ -466,28 +466,43 @@ def test_sweep_empirical_agrees_on_clear_cells():
             assert c.empirical in (GROWING, DIVERGED)
 
 
-@pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
-def test_logistic_sweep_margins_are_those_of_each_cells_closed_form(mode):
-    # the grid's spectra as one array give each cell the bits of its own
-    # ring's circulant_eigenvalues
-    from fracml.spectra import circulant_eigenvalues
-    from fracml.stability import curve_margin
+_RINGS = {"symmetric": symmetric_region, "logistic-cubic": symmetric_region,
+          "asymmetric": asymmetric_region, "logistic-circle": asymmetric_region}
 
+
+def _ring_margin(mode, alpha, n, p1, p2):
+    """The region margin of one cell's ring (a0, a1, a2), read the way its family reads it."""
+    if mode in ("symmetric", "asymmetric"):
+        a0, a1, a2 = (p1, p2, p1) if mode == "symmetric" else (-p2, p1, p2)
+    else:
+        a0, a1, a2 = linearize_at(*dynamics._sweep_maps(mode, p1, p2), 0.0)
+    point = (a2, a1) if _RINGS[mode] is symmetric_region else (a1, a2)
+    return _RINGS[mode](alpha, n).signed_margin(*point)
+
+
+@pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
+def test_logistic_sweep_margins_are_the_region_margins_of_the_linearized_ring(mode):
+    # logistic-cubic linearizes to the symmetric ring (-delta, mu, -delta),
+    # logistic-circle to the antisymmetric ring (-(1 + delta), mu, 1 + delta)
     rng = np.random.default_rng(17)
-    for n in (1, 2, 3, 8, 13):
-        p1s, p2s = rng.uniform(-1.0, 2.0, 4).tolist() + [0.0], rng.uniform(-1.5, 1.5, 3).tolist() + [0.0, -0.0]
+    for n in (1, 2, 3, 8, 13) if mode == "logistic-circle" else (2, 3, 8, 13):
+        p1s = rng.uniform(-1.0, 2.0, 4).tolist() + [0.0, -0.0]
+        p2s = rng.uniform(-1.5, 1.5, 3).tolist() + [0.0, -0.0, -1.0]
         alpha = rng.uniform(0.1, 1.0)
-        want = [
-            curve_margin(circulant_eigenvalues(CirculantSpec(*linearize_at(*dynamics._sweep_maps(mode, p1, p2), 0.0), n))
-                         .eigenvalues, alpha).max()
-            for p1 in p1s for p2 in p2s
-        ]
+        want = [float(_ring_margin(mode, alpha, n, p1, p2)) for p1 in p1s for p2 in p2s]
         got = [c.margin for c in sweep(mode, alpha, n, p1s, p2s)]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(got).tobytes() == np.array(want).tobytes(), n
 
 
-@pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
-def test_logistic_sweep_refuses_a_ring_without_sites(mode):
+def test_logistic_cubic_sweep_refuses_a_single_site_as_symmetric_sweeps_do():
+    for mode in ("symmetric", "logistic-cubic"):
+        for simulate in (False, True):
+            with pytest.raises(ValueError, match="n = 1 is a single uncoupled site"):
+                sweep(mode, 0.5, 1, [0.1], [0.2], simulate=simulate, horizon=400)
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
+def test_sweep_refuses_a_ring_without_sites(mode):
     for n in (0, -3):
         with pytest.raises(ValueError, match="lattice sides must be positive integers"):
             sweep(mode, 0.5, n, [0.1], [0.2])
@@ -504,40 +519,32 @@ def test_sweep_rejects_bad_input():
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
-def test_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
-    # the n * cells cap bounds the sweeps that weigh every mode of every ring:
-    # logistic margins and simulated runs
+def test_simulated_sweep_refuses_oversized_rings_before_any_margin(monkeypatch, mode):
+    # the n * cells cap bounds the runs of a simulated sweep, which step every site
     def refuse(*args, **kwargs):
         raise AssertionError("margins started before the size check")
 
     for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
         monkeypatch.setattr(dynamics.stability, name, refuse)
-    monkeypatch.setattr(dynamics, "_closed_form", refuse)
     message = f"cap of {dynamics.SWEEP_MODE_CAP} modes"
-    for simulate in (False, True) if mode.startswith("logistic") else (True,):
-        with pytest.raises(ValueError, match=message):
-            sweep(mode, 0.5, 10**12, [0.1], [0.2], simulate=simulate)
-        n = dynamics.SWEEP_MODE_CAP // 10**3
-        with pytest.raises(ValueError, match=message):
-            sweep(mode, 0.5, n, np.zeros(10), np.zeros(101), simulate=simulate)
+    with pytest.raises(ValueError, match=message):
+        sweep(mode, 0.5, 10**12, [0.1], [0.2], simulate=True)
+    n = dynamics.SWEEP_MODE_CAP // 10**3
+    with pytest.raises(ValueError, match=message):
+        sweep(mode, 0.5, n, np.zeros(10), np.zeros(101), simulate=True)
 
 
-@pytest.mark.parametrize("mode, region", [("symmetric", symmetric_region), ("asymmetric", asymmetric_region)])
-def test_analytic_linear_sweeps_take_any_ring_size(mode, region):
-    # an analytic symmetric or asymmetric margin reads only the region
-    cells = sweep(mode, 0.5, 10**12, [0.1, 0.3], [0.2])
-    assert [c.margin for c in cells] == region(0.5, 10**12).signed_margin(np.array([0.1, 0.3]), 0.2).tolist()
-
-
-@pytest.mark.parametrize("mode", ["logistic-cubic", "logistic-circle"])
-def test_sweep_refuses_a_ring_above_the_site_cap_before_any_margin(monkeypatch, mode):
-    # one cell is far inside SWEEP_MODE_CAP; the ring's mode table is not
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric", "logistic-cubic", "logistic-circle"])
+def test_analytic_sweeps_take_any_ring_size(monkeypatch, mode):
+    # an analytic margin reads only the region of the cell's ring: no mode
+    # table, no cap on n or on n * cells
     def refuse(*args, **kwargs):
-        raise AssertionError("a margin started before the site cap")
+        raise AssertionError("an analytic sweep built a mode table")
 
-    monkeypatch.setattr(dynamics.stability, "curve_margin", refuse)
-    with pytest.raises(ValueError, match=f"cap of {SITE_CAP}"):
-        sweep(mode, 0.5, SITE_CAP + 1, [0.1], [0.2])
+    monkeypatch.setattr(spectra, "_mode_table", refuse)
+    n, p1s, p2s = 10**12, [0.1, 0.3], [0.2, -0.0]
+    cells = sweep(mode, 0.5, n, p1s, p2s)
+    assert [c.margin for c in cells] == [float(_ring_margin(mode, 0.5, n, p1, p2)) for p1 in p1s for p2 in p2s]
 
 
 def test_symmetric_sweep_decides_a_ring_above_the_site_cap_without_a_mode_table(monkeypatch):
@@ -568,7 +575,7 @@ def test_simulated_sweep_checks_its_run_settings_before_any_work(monkeypatch, mo
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the run settings were checked")
 
-    for name in ("simulate_linear", "simulate_nonlinear", "_linear_cells", "_closed_form"):
+    for name in ("simulate_linear", "simulate_nonlinear", "_linear_cells"):
         monkeypatch.setattr(dynamics, name, refuse)
     for name in ("symmetric_region", "asymmetric_region", "curve_margin"):
         monkeypatch.setattr(dynamics.stability, name, refuse)

@@ -35,15 +35,15 @@ def test_mode_trig_exact_values():
     assert mode_cosine(7, 4) == mode_cosine(3, 4)  # periodic in j
 
 
-def test_mode_table_refuses_an_axis_above_the_site_cap(monkeypatch):
-    # the closed form checks every side before it builds a table
+def test_mode_table_refuses_a_ring_above_the_site_cap(monkeypatch):
+    # the closed form checks the site count before it builds a table
     monkeypatch.setattr(spectra, "SITE_CAP", 12)
     assert circulant_eigenvalues(CirculantSpec(0.1, 0.2, 0.3, 12)).eigenvalues.shape == (12,)
     with pytest.raises(ValueError, match="exceed the cap of 12"):
         circulant_eigenvalues(CirculantSpec(0.1, 0.2, 0.3, 13))
 
 
-def test_closed_form_refuses_an_axis_above_the_site_cap_before_any_mode(monkeypatch):
+def test_closed_form_refuses_a_lattice_above_the_site_cap_before_any_mode(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("mode values computed before the site cap")
 
@@ -51,9 +51,11 @@ def test_closed_form_refuses_an_axis_above_the_site_cap_before_any_mode(monkeypa
     monkeypatch.setattr(spectra, "mode_cosine", refuse)
     big = spectra.SITE_CAP + 1
     specs = (CirculantSpec(0.1, 0.2, 0.3, big), BlockCirculantSpec(0.1, 0.2, 0.3, 3, big),
-             Circulant((1, big), {(0, 0): 1.0}))  # no pair reads a table of the long side
+             Circulant((1, big), {(0, 0): 1.0}),  # no pair reads a table of the long side
+             # each side within the cap, the sites not
+             BlockCirculantSpec(0.1, 0.2, 0.3, 10**4, 10**4), Circulant((10**7, 10**7), {(0, 0): 1.0}))
     for spec in specs:
-        with pytest.raises(ValueError, match=f"{big} sites along one axis exceed the cap"):
+        with pytest.raises(ValueError, match=f"^{math.prod(spec.shape)} sites exceed the cap"):
             circulant_eigenvalues(spec)
 
 
@@ -164,9 +166,9 @@ def _per_mode(shape, stencil):
     return np.array(want)
 
 
-def test_ring_spectra_alone_and_batched_are_the_per_mode_formula():
+def test_ring_spectra_are_the_per_mode_formula():
     # rings, tori and stencils with offsets above 1, wrapping or without a
-    # partner, alone and batched over cells; signed zeros included
+    # partner; signed zeros included
     rng = np.random.default_rng(23)
 
     def weights(size):
@@ -186,16 +188,10 @@ def test_ring_spectra_alone_and_batched_are_the_per_mode_formula():
     ]
     for shape, offsets in lattices:
         w = weights((8, len(offsets)))
-        want = []
         for row in w:
             spec = Circulant(shape, dict(zip(offsets, row.tolist())))
-            want.append(_per_mode(spec.shape, spec.stencil))
-            assert circulant_eigenvalues(spec).eigenvalues.tobytes() == want[-1].tobytes(), shape
-        cells = w.T.reshape((len(offsets), len(w)) + (1,) * len(shape))
-        batched = spectra._closed_form(shape, dict(zip(spec.stencil, cells)))  # (cells, sites)
-        assert batched.tobytes() == np.array(want).tobytes(), shape
-    with pytest.raises(ValueError, match="lattice sides must be positive integers"):
-        spectra._closed_form((0,), {(0,): 0.1})
+            want = _per_mode(spec.shape, spec.stencil)
+            assert circulant_eigenvalues(spec).eigenvalues.tobytes() == want.tobytes(), shape
 
 
 def test_circulant_matches_dense_and_numpy():

@@ -4,6 +4,8 @@ A circulant's closed-form spectrum (a ring, a torus or any axis-aligned
 stencil in up to three dimensions) must be the dense solver's spectrum
 of its matrix, and a coupling region's verdict must be the verdict on the
 ring's spectrum wherever the region's margin is clear of its boundary.
+A logistic sweep reads the region of its linearized ring, so its
+verdicts are held to the same spectrum verdicts.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import multiset_distance  # noqa: E402
+from fracml.dynamics import _sweep_maps, linearize_at, sweep  # noqa: E402
 from fracml.spectra import (  # noqa: E402
     Circulant,
     CirculantSpec,
@@ -78,3 +81,16 @@ def test_asymmetric_region_verdict_is_the_spectrum_verdict(alpha, a1, a2, n):
     spectrum = asymmetric_eigenvalues(a1, a2, n)
     assert region.classify(a1, a2).status == classify_spectrum(spectrum, alpha).status
 
+
+
+@PROPERTY
+@given(st.sampled_from(["logistic-cubic", "logistic-circle"]), st.floats(min_value=0.05, max_value=1.0),
+       st.floats(min_value=-1.1, max_value=1.1), st.floats(min_value=-1.8, max_value=0.6),
+       st.integers(min_value=1, max_value=16))
+def test_logistic_sweep_verdict_is_the_spectrum_verdict_of_its_linearized_ring(mode, alpha, mu, delta, n):
+    assume(n > 1 or mode == "logistic-circle")  # a single site has no symmetric region
+    (cell,) = sweep(mode, alpha, n, [mu], [delta])
+    ring = CirculantSpec(*linearize_at(*_sweep_maps(mode, mu, delta), 0.0), n)
+    verdict = classify_spectrum(circulant_eigenvalues(ring), alpha)
+    assume(min(abs(cell.margin), abs(verdict.margin)) >= 5e-7)
+    assert cell.analytic == verdict.status

@@ -411,7 +411,7 @@ def test_symmetric_region_classify_band():
 
 
 def test_symmetric_region_rejects_tiny_lattice():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n = 1 is a single uncoupled site"):
         symmetric_region(0.5, 1)
 
 
